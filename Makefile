@@ -1,11 +1,10 @@
-# Developer entry points. `make bench` regenerates BENCH_crawl.json, the
-# before/after record of the §4.1 batched-write-path speedup;
-# `make bench-search` regenerates BENCH_search.json, the record of the §3.6
-# snapshot-scorer query speedup; `make bench-overhead` regenerates
-# BENCH_overhead.json, the record of the metrics layer's per-event cost;
-# `make bench-shard` regenerates BENCH_shard.json, the record of the
-# partitioned store's dirty-shard rebuild economy under mixed load;
-# `make bench-serve` regenerates BENCH_serve.json, the record of the
+# Developer entry points. The repo's end-to-end benchmark is
+# `bash benchmark/run.sh` (see benchmark/README.md); the targets below
+# regenerate the older per-subsystem records. `make bench-overhead`
+# regenerates BENCH_overhead.json, the record of the metrics layer's
+# per-event cost; `make bench-shard` regenerates BENCH_shard.json, the
+# record of the partitioned store's dirty-shard rebuild economy under mixed
+# load; `make bench-serve` regenerates BENCH_serve.json, the record of the
 # serving path's epoch-keyed result-cache speedup under open-loop load;
 # `make bench-segments` regenerates BENCH_segments.json, the record of the
 # disk-native segment tier's heap economy, cold-start speedup, and write
@@ -16,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench bench-search bench-overhead bench-shard bench-serve bench-segments bench-frontier smoke-frontier
+.PHONY: all build vet fmt-check test race chaos smoke smoke-dist smoke-tenant doccheck bench-overhead bench-shard bench-serve bench-segments bench-frontier smoke-frontier
 
 all: build test
 
@@ -50,19 +49,6 @@ CHAOS_SEEDS ?= 1,7,23
 chaos:
 	CHAOS_SEEDS="$(CHAOS_SEEDS)" $(GO) test -race -count=1 -run 'TestChaos' ./internal/crawler/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/fetch/
-
-# bench reports crawl throughput for the batched and the legacy write path,
-# then records an interleaved A/B comparison in BENCH_crawl.json.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkCrawlThroughput' -benchtime 3x .
-	BENCH_JSON=BENCH_crawl.json $(GO) test -run TestWriteCrawlBenchJSON -v .
-
-# bench-search reports query throughput for the snapshot and the legacy
-# read path (with -benchmem as the allocation evidence), then records an
-# interleaved A/B comparison in BENCH_search.json.
-bench-search:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchQPS' -benchtime 1s -benchmem .
-	BENCH_JSON=BENCH_search.json $(GO) test -run TestWriteSearchBenchJSON -v .
 
 # bench-shard reports mixed write/query throughput for the sharded (P=8)
 # vs single-shard (P=1) store on the same commit, then records an
@@ -126,8 +112,8 @@ bench-frontier:
 	BENCH_JSON=$(CURDIR)/BENCH_frontier.json $(GO) test -run TestWriteFrontierBenchJSON -v -timeout 600s -count=1 ./internal/experiments/
 
 # smoke-frontier is the CI leg of the scheduling lab: every scheduler
-# completes a tiny-world crawl, best-first harvests at least as well as the
-# FIFO baseline, and a budgeted frontier caps its in-memory share.
+# completes a tiny-world crawl, link-context harvests strictly more than the
+# fifo-priority default, and a budgeted frontier caps its in-memory share.
 smoke-frontier:
 	$(GO) test -run 'TestFrontierSchedulerSmoke|TestFrontierSpillSmoke' -v -count=1 ./internal/experiments/
 

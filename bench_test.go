@@ -241,12 +241,15 @@ func BenchmarkHierarchicalCrawl(b *testing.B) {
 	}
 }
 
-// benchCrawlThroughput measures end-to-end crawl throughput — fetch,
+// BenchmarkCrawlThroughput measures end-to-end crawl throughput — fetch,
 // parse, classify, store — in pages per second (plus docs/min, the unit of
 // the §4.1 claim that the batched write path sustains "up to ten thousand
 // documents per minute"; their bottleneck was the network and Oracle, ours
 // is CPU), and heap allocations per stored page.
-func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
+//
+// It runs the crawl hot path as shipped: persistent worker pool,
+// per-worker workspaces, bulk loads into the sharded store.
+func BenchmarkCrawlThroughput(b *testing.B) {
 	w := smallWorld()
 	var pages, secs, allocs float64
 	for i := 0; i < b.N; i++ {
@@ -254,7 +257,7 @@ func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		stats := experiments.RunThroughput(context.Background(), w, 1500, legacyWrites)
+		stats := experiments.RunThroughput(context.Background(), w, 1500)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		if stats.StoredPages == 0 {
@@ -270,30 +273,6 @@ func benchCrawlThroughput(b *testing.B, legacyWrites bool) {
 	b.ReportMetric(pages/float64(b.N), "stored")
 }
 
-// BenchmarkCrawlThroughput runs the crawl hot path as shipped: persistent
-// worker pool, per-worker workspaces, bulk loads into the sharded store.
-func BenchmarkCrawlThroughput(b *testing.B) { benchCrawlThroughput(b, false) }
-
-// BenchmarkCrawlThroughputLegacy is the same crawl through the original
-// write path — a goroutine per URL and per-row Store.Insert/AddLink calls
-// under the store locks — kept as the §4.1 before/after baseline
-// (BENCH_crawl.json records the ratio).
-func BenchmarkCrawlThroughputLegacy(b *testing.B) { benchCrawlThroughput(b, true) }
-
-// crawlRun is one timed throughput crawl for TestWriteCrawlBenchJSON.
-// PagesPerSec is pages per CPU-second (getrusage user+system): the crawl is
-// CPU-bound against an in-process synthetic web, and on a shared machine
-// CPU time is immune to the co-tenant steal that makes wall-clock swing
-// ±30% between otherwise identical runs. Wall-clock numbers are recorded
-// alongside for reference.
-type crawlRun struct {
-	PagesPerSec     float64 `json:"pages_per_cpu_sec"`
-	PagesPerWallSec float64 `json:"pages_per_wall_sec"`
-	DocsPerMin      float64 `json:"docs_per_cpu_min"`
-	AllocsPerPage   float64 `json:"allocs_per_page"`
-	StoredPages     int64   `json:"stored_pages"`
-}
-
 // cpuSeconds returns the process's cumulative user+system CPU time.
 func cpuSeconds(t *testing.T) float64 {
 	var ru syscall.Rusage
@@ -306,126 +285,10 @@ func cpuSeconds(t *testing.T) float64 {
 	return sec(ru.Utime) + sec(ru.Stime)
 }
 
-// measureCrawl times reps back-to-back crawls as one sample. A single crawl
-// of the ~2k-page world lasts well under 0.1 CPU-seconds — short enough that
-// where the GC cycles happen to land swings the reading by tens of percent —
-// so a sample aggregates several crawls to average that out.
-func measureCrawl(t *testing.T, w *corpus.World, budget int64, reps int, legacy bool) crawlRun {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	cpu0 := cpuSeconds(t)
-	start := time.Now()
-	var pages float64
-	var stored int64
-	for r := 0; r < reps; r++ {
-		stats := experiments.RunThroughput(context.Background(), w, budget, legacy)
-		pages += float64(stats.StoredPages)
-		stored = stats.StoredPages
-	}
-	wallSecs := time.Since(start).Seconds()
-	cpuSecs := cpuSeconds(t) - cpu0
-	runtime.ReadMemStats(&m1)
-	return crawlRun{
-		PagesPerSec:     pages / cpuSecs,
-		PagesPerWallSec: pages / wallSecs,
-		DocsPerMin:      pages / (cpuSecs / 60),
-		AllocsPerPage:   float64(m1.Mallocs-m0.Mallocs) / pages,
-		StoredPages:     stored,
-	}
-}
-
 func median(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	return s[len(s)/2]
-}
-
-// medianRun folds a mode's runs into one summary row of per-field medians.
-func medianRun(runs []crawlRun, pagesPerCPUSec float64) crawlRun {
-	var wall, allocs []float64
-	for _, r := range runs {
-		wall = append(wall, r.PagesPerWallSec)
-		allocs = append(allocs, r.AllocsPerPage)
-	}
-	return crawlRun{
-		PagesPerSec:     pagesPerCPUSec,
-		PagesPerWallSec: median(wall),
-		DocsPerMin:      pagesPerCPUSec * 60,
-		AllocsPerPage:   median(allocs),
-		StoredPages:     runs[len(runs)/2].StoredPages,
-	}
-}
-
-// TestWriteCrawlBenchJSON measures the batched write path against the
-// legacy per-row path and records the result in a JSON file. The two modes
-// run in alternating pairs and the reported ratio is the median of the
-// per-pair ratios: on a shared machine, load noise hits both runs of a pair
-// roughly equally, which makes the pairwise ratio far more stable than two
-// independent `go test -bench` invocations. Opt-in via BENCH_JSON=<path>
-// (the Makefile `bench` target sets it).
-func TestWriteCrawlBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the crawl A/B measurement")
-	}
-	const rounds = 7
-	const budget = 1500
-	const reps = 4 // crawls aggregated per sample
-	w := smallWorld()
-	// Warm-up: populate OS/runtime caches and the stem memo so round 1 is
-	// not systematically slower for either mode.
-	measureCrawl(t, w, budget, 1, false)
-	measureCrawl(t, w, budget, 1, true)
-
-	var batched, legacy []crawlRun
-	var ratios, newPS, legacyPS []float64
-	for i := 0; i < rounds; i++ {
-		n := measureCrawl(t, w, budget, reps, false)
-		l := measureCrawl(t, w, budget, reps, true)
-		batched = append(batched, n)
-		legacy = append(legacy, l)
-		ratios = append(ratios, n.PagesPerSec/l.PagesPerSec)
-		newPS = append(newPS, n.PagesPerSec)
-		legacyPS = append(legacyPS, l.PagesPerSec)
-		t.Logf("round %d: batched %.0f pages/cpu-sec (%.0f wall), legacy %.0f pages/cpu-sec (%.0f wall), ratio %.2f",
-			i+1, n.PagesPerSec, n.PagesPerWallSec, l.PagesPerSec, l.PagesPerWallSec, n.PagesPerSec/l.PagesPerSec)
-	}
-
-	report := struct {
-		Benchmark   string     `json:"benchmark"`
-		Budget      int64      `json:"page_budget_per_run"`
-		Workers     int        `json:"workers"`
-		Rounds      int        `json:"rounds"`
-		Batched     crawlRun   `json:"batched_median"`
-		Legacy      crawlRun   `json:"legacy_median"`
-		RatioMedian float64    `json:"pages_per_sec_ratio_median"`
-		BatchedRuns []crawlRun `json:"batched_runs"`
-		LegacyRuns  []crawlRun `json:"legacy_runs"`
-	}{
-		Benchmark:   "BenchmarkCrawlThroughput vs BenchmarkCrawlThroughputLegacy (interleaved pairs)",
-		Budget:      budget,
-		Workers:     15,
-		Rounds:      rounds,
-		RatioMedian: median(ratios),
-		BatchedRuns: batched,
-		LegacyRuns:  legacy,
-	}
-	report.Batched = medianRun(batched, median(newPS))
-	report.Legacy = medianRun(legacy, median(legacyPS))
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("median ratio %.2fx (batched %.0f vs legacy %.0f pages/sec) -> %s",
-		report.RatioMedian, report.Batched.PagesPerSec, report.Legacy.PagesPerSec, out)
-	if report.RatioMedian < 1.5 {
-		t.Errorf("batched/legacy pages/sec ratio %.2f below the 1.5x target", report.RatioMedian)
-	}
 }
 
 // BenchmarkClassifierComparison pits the SVM against the Naive Bayes and
@@ -547,10 +410,9 @@ func searchQueryMix() []search.Query {
 }
 
 // benchSearchQPS drives a query mix at one goroutine or GOMAXPROCS.
-func benchSearchQPS(b *testing.B, legacy, parallel bool, queries []search.Query) {
+func benchSearchQPS(b *testing.B, parallel bool, queries []search.Query) {
 	s := buildSearchStore(4000)
 	e := search.New(s)
-	e.LegacyScoring = legacy
 	for _, q := range queries { // warm caches/snapshot outside the timer
 		e.Search(q)
 	}
@@ -571,147 +433,25 @@ func benchSearchQPS(b *testing.B, legacy, parallel bool, queries []search.Query)
 	}
 }
 
-// BenchmarkSearchQPS measures queries/sec of the snapshot read path against
-// the legacy per-candidate scorer, single-goroutine and parallel, with and
-// without phrase, topic, and authority components (the interleaved A/B with
-// JSON output is TestWriteSearchBenchJSON).
+// BenchmarkSearchQPS measures queries/sec of the snapshot read path,
+// single-goroutine and parallel, with and without phrase, topic, and
+// authority components.
 func BenchmarkSearchQPS(b *testing.B) {
 	phrase := []search.Query{{Text: `"transaction recovery" protocols`}, {Text: `"source code release"`}}
 	authority := []search.Query{{Text: "recovery transaction", Weights: search.Weights{Cosine: 0.5, Authority: 0.5}}}
 	topic := []search.Query{{Text: "recovery", Topic: "ROOT/db"}, {Text: "transaction", Topic: "ROOT/db/recovery"}}
 	for _, v := range []struct {
 		name     string
-		legacy   bool
 		parallel bool
 		queries  []search.Query
 	}{
-		{"Indexed", false, false, searchQueryMix()},
-		{"Legacy", true, false, searchQueryMix()},
-		{"IndexedParallel", false, true, searchQueryMix()},
-		{"LegacyParallel", true, true, searchQueryMix()},
-		{"IndexedPhrase", false, false, phrase},
-		{"LegacyPhrase", true, false, phrase},
-		{"IndexedTopic", false, false, topic},
-		{"IndexedAuthority", false, false, authority},
-		{"LegacyAuthority", true, false, authority},
+		{"Indexed", false, searchQueryMix()},
+		{"IndexedParallel", true, searchQueryMix()},
+		{"IndexedPhrase", false, phrase},
+		{"IndexedTopic", false, topic},
+		{"IndexedAuthority", false, authority},
 	} {
-		b.Run(v.name, func(b *testing.B) { benchSearchQPS(b, v.legacy, v.parallel, v.queries) })
-	}
-}
-
-// searchRun is one timed query-throughput sample. Queries per CPU-second is
-// the headline for the same reason as crawlRun: CPU time is immune to
-// co-tenant steal on a shared machine.
-type searchRun struct {
-	QueriesPerCPUSec  float64 `json:"queries_per_cpu_sec"`
-	QueriesPerWallSec float64 `json:"queries_per_wall_sec"`
-	AllocsPerQuery    float64 `json:"allocs_per_query"`
-}
-
-// measureSearch runs n queries from the mix as one sample.
-func measureSearch(t *testing.T, e *search.Engine, queries []search.Query, n int) searchRun {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	cpu0 := cpuSeconds(t)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		e.Search(queries[i%len(queries)])
-	}
-	wallSecs := time.Since(start).Seconds()
-	cpuSecs := cpuSeconds(t) - cpu0
-	runtime.ReadMemStats(&m1)
-	return searchRun{
-		QueriesPerCPUSec:  float64(n) / cpuSecs,
-		QueriesPerWallSec: float64(n) / wallSecs,
-		AllocsPerQuery:    float64(m1.Mallocs-m0.Mallocs) / float64(n),
-	}
-}
-
-// TestWriteSearchBenchJSON measures the snapshot read path against the
-// legacy scorer on the same store and records the result in a JSON file.
-// Methodology mirrors TestWriteCrawlBenchJSON: alternating pairs, per-pair
-// ratios, median ratio as the headline — pairwise interleaving cancels the
-// load noise of a shared machine. Opt-in via BENCH_JSON=<path> (the
-// Makefile `bench-search` target sets it).
-func TestWriteSearchBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<output path> to run the search A/B measurement")
-	}
-	const rounds = 7
-	const queriesPerSample = 400
-	s := buildSearchStore(4000)
-	indexed := search.New(s)
-	legacy := search.New(s)
-	legacy.LegacyScoring = true
-	mix := searchQueryMix()
-	measureSearch(t, indexed, mix, 20) // warm snapshot + pools
-	measureSearch(t, legacy, mix, 20)  // warm idf cache + stem memo
-
-	var idxRuns, legRuns []searchRun
-	var ratios, idxQPS, legQPS []float64
-	for i := 0; i < rounds; i++ {
-		n := measureSearch(t, indexed, mix, queriesPerSample)
-		l := measureSearch(t, legacy, mix, queriesPerSample)
-		idxRuns = append(idxRuns, n)
-		legRuns = append(legRuns, l)
-		ratios = append(ratios, n.QueriesPerCPUSec/l.QueriesPerCPUSec)
-		idxQPS = append(idxQPS, n.QueriesPerCPUSec)
-		legQPS = append(legQPS, l.QueriesPerCPUSec)
-		t.Logf("round %d: indexed %.0f q/cpu-sec (%.2f allocs/q), legacy %.0f q/cpu-sec (%.0f allocs/q), ratio %.2f",
-			i+1, n.QueriesPerCPUSec, n.AllocsPerQuery, l.QueriesPerCPUSec, l.AllocsPerQuery,
-			n.QueriesPerCPUSec/l.QueriesPerCPUSec)
-	}
-
-	var idxAllocs, legAllocs, idxWall, legWall []float64
-	for i := range idxRuns {
-		idxAllocs = append(idxAllocs, idxRuns[i].AllocsPerQuery)
-		legAllocs = append(legAllocs, legRuns[i].AllocsPerQuery)
-		idxWall = append(idxWall, idxRuns[i].QueriesPerWallSec)
-		legWall = append(legWall, legRuns[i].QueriesPerWallSec)
-	}
-	report := struct {
-		Benchmark   string      `json:"benchmark"`
-		Docs        int         `json:"docs"`
-		QuerySample int         `json:"queries_per_sample"`
-		Rounds      int         `json:"rounds"`
-		Indexed     searchRun   `json:"indexed_median"`
-		Legacy      searchRun   `json:"legacy_median"`
-		RatioMedian float64     `json:"queries_per_cpu_sec_ratio_median"`
-		IndexedRuns []searchRun `json:"indexed_runs"`
-		LegacyRuns  []searchRun `json:"legacy_runs"`
-	}{
-		Benchmark:   "BenchmarkSearchQPS Indexed vs Legacy (interleaved pairs, mixed query shapes)",
-		Docs:        4000,
-		QuerySample: queriesPerSample,
-		Rounds:      rounds,
-		RatioMedian: median(ratios),
-		IndexedRuns: idxRuns,
-		LegacyRuns:  legRuns,
-	}
-	report.Indexed = searchRun{
-		QueriesPerCPUSec:  median(idxQPS),
-		QueriesPerWallSec: median(idxWall),
-		AllocsPerQuery:    median(idxAllocs),
-	}
-	report.Legacy = searchRun{
-		QueriesPerCPUSec:  median(legQPS),
-		QueriesPerWallSec: median(legWall),
-		AllocsPerQuery:    median(legAllocs),
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("median ratio %.2fx (indexed %.0f vs legacy %.0f queries/cpu-sec) -> %s",
-		report.RatioMedian, report.Indexed.QueriesPerCPUSec, report.Legacy.QueriesPerCPUSec, out)
-	if report.RatioMedian < 3 {
-		t.Errorf("indexed/legacy queries/cpu-sec ratio %.2f below the 3x target", report.RatioMedian)
+		b.Run(v.name, func(b *testing.B) { benchSearchQPS(b, v.parallel, v.queries) })
 	}
 }
 
@@ -799,8 +539,9 @@ func BenchmarkShardChurn(b *testing.B) {
 // TestWriteShardBenchJSON measures the sharded store (P=8) against a
 // single-shard store built from the same commit under a mixed localized-
 // write/query load, recording ops/CPU-sec and the dirty-rebuild economy.
-// Methodology mirrors TestWriteCrawlBenchJSON: alternating pairs, per-pair
-// ratios, median ratio as the headline. Opt-in via BENCH_JSON=<path> (the
+// The two stores run in alternating pairs and the median of the per-pair
+// ratios is the headline: on a shared machine, load noise hits both runs of
+// a pair roughly equally. Opt-in via BENCH_JSON=<path> (the
 // Makefile `bench-shard` target sets it).
 func TestWriteShardBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")

@@ -84,8 +84,8 @@ type Config struct {
 	// QueueLimit caps each topic's incoming URL queue (paper §5.1: 30,000).
 	QueueLimit int
 	// Scheduler selects the frontier's crawl-ordering policy: fifo-priority
-	// (default, the paper's §4.2 queue manager), best-first, link-context,
-	// or value-fn. See DESIGN.md "Frontier scheduling".
+	// (default, the paper's §4.2 queue manager) or link-context. See
+	// DESIGN.md "Frontier scheduling".
 	Scheduler string
 	// FrontierBudget, when positive, caps the number of queued frontier
 	// links held in memory; the lowest-priority tail spills to sorted

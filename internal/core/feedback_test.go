@@ -18,12 +18,19 @@ func TestPeriodicRetrainingDuringLearning(t *testing.T) {
 	if err := e.Bootstrap(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Learn(ctx); err != nil {
+	st, err := e.Learn(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// bootstrap retrain (1) + at least one intermediate + final
 	if e.Retrains() < 3 {
 		t.Errorf("retrains = %d, want >= 3 with periodic retraining", e.Retrains())
+	}
+	// A retrain pause cancels the crawl mid-page; the pages in flight must
+	// still be booked and the rest of the frontier must survive the pause.
+	if st.StoredPages+st.Duplicates+st.Errors != st.VisitedURLs {
+		t.Errorf("pages lost across retrain pauses: stored %d + duplicates %d + errors %d != visited %d",
+			st.StoredPages, st.Duplicates, st.Errors, st.VisitedURLs)
 	}
 }
 

@@ -76,9 +76,11 @@ func seedHosts(world *corpus.World) []string {
 }
 
 // chaosRig is one crawl's full wiring, kept so tests can inspect the
-// resilience layer after the run.
+// resilience layer after the run. stats is the last phase's counters;
+// phases holds every phase's.
 type chaosRig struct {
 	stats    Stats
+	phases   []Stats
 	store    *store.Store
 	fetcher  *fetch.Fetcher
 	resolver *dns.Resolver
@@ -90,6 +92,11 @@ type chaosKnobs struct {
 	maxRequeues int
 	hostRetries int // HostTracker quarantine threshold
 	maxPerHost  int // politeness cap (0 = unlimited)
+	// budget is each phase's page budget (0 = crawl to drain); phases
+	// crawls (default 1) run back to back over one frontier and store,
+	// like the engine's learning and harvesting phases.
+	budget int64
+	phases int
 }
 
 // runChaosCrawl drives one full crawl-to-drain over world with plane's
@@ -107,6 +114,9 @@ func runChaosCrawl(t *testing.T, world *corpus.World, plane *faults.Plane, k cha
 	}
 	if k.hostRetries <= 0 {
 		k.hostRetries = 3
+	}
+	if k.phases <= 0 {
+		k.phases = 1
 	}
 
 	transport := world.RoundTripper()
@@ -138,27 +148,52 @@ func runChaosCrawl(t *testing.T, world *corpus.World, plane *faults.Plane, k cha
 		DegradeTruncated: true,
 	}, nil, fetch.NewHostTracker(k.hostRetries))
 	st := store.New()
-	c := New(Config{
-		Fetcher:        f,
-		Frontier:       frontier.New(frontier.DefaultConfig()),
-		Store:          st,
-		Classify:       keywordClassifier,
-		Workers:        k.workers,
-		MaxPerHost:     k.maxPerHost,
-		MaxTunnelDepth: 2,
-		Focus:          SoftFocus,
-		MaxRequeues:    k.maxRequeues,
-	})
-	c.Seed("ROOT/db", world.SeedURLs()...)
+	fr := frontier.New(frontier.DefaultConfig())
+	rig := chaosRig{store: st, fetcher: f, resolver: resolver}
+	for phase := 0; phase < k.phases; phase++ {
+		c := New(Config{
+			Fetcher:        f,
+			Frontier:       fr,
+			Store:          st,
+			Classify:       keywordClassifier,
+			Workers:        k.workers,
+			MaxPerHost:     k.maxPerHost,
+			MaxTunnelDepth: 2,
+			PageBudget:     k.budget,
+			Focus:          SoftFocus,
+			MaxRequeues:    k.maxRequeues,
+		})
+		if phase == 0 {
+			c.Seed("ROOT/db", world.SeedURLs()...)
+		}
+		done := make(chan Stats, 1)
+		go func() { done <- c.Run(context.Background()) }()
+		select {
+		case stats := <-done:
+			rig.stats = stats
+			rig.phases = append(rig.phases, stats)
+		case <-time.After(90 * time.Second):
+			t.Fatal("chaos crawl deadlocked")
+		}
+	}
+	return rig
+}
 
-	done := make(chan Stats, 1)
-	go func() { done <- c.Run(context.Background()) }()
-	select {
-	case stats := <-done:
-		return chaosRig{stats: stats, store: st, fetcher: f, resolver: resolver}
-	case <-time.After(90 * time.Second):
-		t.Fatal("chaos crawl deadlocked")
-		return chaosRig{}
+// checkAccounting asserts the crawl accounting invariant in every phase —
+// each counted visit ends exactly one way: stored, duplicate or error —
+// and that the store holds exactly the pages the phases report stored.
+func checkAccounting(t *testing.T, rig chaosRig) {
+	t.Helper()
+	var stored int64
+	for i, s := range rig.phases {
+		if s.StoredPages+s.Duplicates+s.Errors != s.VisitedURLs {
+			t.Errorf("phase %d: accounting broken: stored %d + duplicates %d + errors %d != visited %d",
+				i, s.StoredPages, s.Duplicates, s.Errors, s.VisitedURLs)
+		}
+		stored += s.StoredPages
+	}
+	if rig.store.NumDocs() != int(stored) {
+		t.Errorf("store/stats mismatch: %d vs %d", rig.store.NumDocs(), stored)
 	}
 }
 
@@ -209,14 +244,20 @@ func TestChaosProfiles(t *testing.T) {
 						name, plane.SeenHosts())
 				}
 				// Accounting invariant: every counted visit ends exactly one way.
-				if stats.StoredPages+stats.Duplicates+stats.Errors != stats.VisitedURLs {
-					t.Errorf("accounting broken: %+v", stats)
-				}
-				if rig.store.NumDocs() != int(stats.StoredPages) {
-					t.Errorf("store/stats mismatch: %d vs %d", rig.store.NumDocs(), stats.StoredPages)
-				}
+				checkAccounting(t, rig)
 				if stats.StoredPages == 0 {
 					t.Fatalf("nothing collected under %s faults", name)
+				}
+				// The same invariant when a page budget cancels the crawl
+				// while many workers still have fetches in flight, over two
+				// back-to-back phases.
+				budgeted := runChaosCrawl(t, world, faults.New(seed, prof),
+					chaosKnobs{workers: 15, budget: 40, phases: 2})
+				checkAccounting(t, budgeted)
+				for i, s := range budgeted.phases {
+					if s.VisitedURLs < 40 {
+						t.Errorf("budgeted phase %d visited %d pages, want the full budget of 40", i, s.VisitedURLs)
+					}
 				}
 
 				// Every poisoned host the crawl touched must end quarantined.

@@ -192,10 +192,10 @@ func TestSchedulerDeterminismMatrix(t *testing.T) {
 func TestSpilledFrontierFetchesSameSet(t *testing.T) {
 	world := corpus.Generate(corpus.TinyConfig())
 	base, _ := runSchedCrawl(t, world, schedRun{
-		scheduler: frontier.SchedulerBestFirst, workers: 4, profile: "off",
+		scheduler: frontier.SchedulerFIFOPriority, workers: 4, profile: "off",
 	})
 	got, _ := runSchedCrawl(t, world, schedRun{
-		scheduler: frontier.SchedulerBestFirst, workers: 4, profile: "off", budget: 48,
+		scheduler: frontier.SchedulerFIFOPriority, workers: 4, profile: "off", budget: 48,
 	})
-	diffKeySets(t, "best-first/budget=48", base, got)
+	diffKeySets(t, "fifo-priority/budget=48", base, got)
 }

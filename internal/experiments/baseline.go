@@ -47,10 +47,9 @@ func RunUnfocusedBaseline(ctx context.Context, w *corpus.World, budget int64) (c
 }
 
 // RunThroughput is the crawl-throughput harness behind
-// BenchmarkCrawlThroughput: the unfocused baseline crawl with the write
-// path selectable, so the §4.1 batched bulk-load path can be measured
-// against the legacy per-row insert path in the same binary.
-func RunThroughput(ctx context.Context, w *corpus.World, budget int64, legacyWrites bool) crawler.Stats {
+// BenchmarkCrawlThroughput: the unfocused baseline crawl through the §4.1
+// batched bulk-load write path.
+func RunThroughput(ctx context.Context, w *corpus.World, budget int64) crawler.Stats {
 	resolver := dns.NewResolver(dns.Config{}, w.DNSServer())
 	f := fetch.New(fetch.Config{
 		Transport: w.RoundTripper(),
@@ -64,11 +63,10 @@ func RunThroughput(ctx context.Context, w *corpus.World, budget int64, legacyWri
 		Classify: func(d classify.Doc) classify.Result {
 			return classify.Result{Topic: "ROOT/any", Confidence: 0.5, Accepted: true}
 		},
-		Workers:      15,
-		PageBudget:   budget,
-		Focus:        crawler.SoftFocus,
-		Strategy:     crawler.BreadthFirst,
-		LegacyWrites: legacyWrites,
+		Workers:    15,
+		PageBudget: budget,
+		Focus:      crawler.SoftFocus,
+		Strategy:   crawler.BreadthFirst,
 	})
 	c.Seed("ROOT/any", w.SeedURLs()...)
 	return c.Run(ctx)

@@ -305,8 +305,9 @@ type FrontierSpillReport struct {
 	HarvestDelta   float64 `json:"harvest_ratio_delta"` // bounded − unbounded
 }
 
-// FrontierSpillEvidence runs the best-first scheduler fault-free twice —
-// unbounded and with frontierBudget — and reports the memory contrast.
+// FrontierSpillEvidence runs the default fifo-priority scheduler fault-free
+// twice — unbounded and with frontierBudget — and reports the memory
+// contrast.
 func FrontierSpillEvidence(w *corpus.World, pageBudget int64, frontierBudget int) (FrontierSpillReport, error) {
 	train, _ := LabeledDocs(w, 40, 0)
 	cls, err := TrainOnLabeled(train, nil)
@@ -314,13 +315,13 @@ func FrontierSpillEvidence(w *corpus.World, pageBudget int64, frontierBudget int
 		return FrontierSpillReport{}, err
 	}
 	free, err := runFrontierCell(w, cls, frontierCellSpec{
-		scheduler: frontier.SchedulerBestFirst, profile: "off", budget: pageBudget,
+		scheduler: frontier.SchedulerFIFOPriority, profile: "off", budget: pageBudget,
 	})
 	if err != nil {
 		return FrontierSpillReport{}, err
 	}
 	bounded, err := runFrontierCell(w, cls, frontierCellSpec{
-		scheduler: frontier.SchedulerBestFirst, profile: "off", budget: pageBudget,
+		scheduler: frontier.SchedulerFIFOPriority, profile: "off", budget: pageBudget,
 		spillBudget: frontierBudget,
 	})
 	if err != nil {

@@ -11,9 +11,8 @@ import (
 
 // TestFrontierSchedulerSmoke is the CI leg of the scheduling lab: every
 // scheduler must complete a budgeted crawl of the tiny world, store pages,
-// and the confidence-greedy policy must harvest at least as well as the
-// FIFO baseline. Deterministic (one worker, fault-free), so a pass is
-// stable.
+// and link-context must harvest strictly better than the fifo-priority
+// default. Deterministic (one worker, fault-free), so a pass is stable.
 func TestFrontierSchedulerSmoke(t *testing.T) {
 	w := corpus.Generate(corpus.TinyConfig())
 	cells, report, err := FrontierRace(w, 150, []string{"off"}, []int64{1})
@@ -31,9 +30,9 @@ func TestFrontierSchedulerSmoke(t *testing.T) {
 		}
 		harvest[c.Scheduler] = c.Harvest
 	}
-	if harvest[frontier.SchedulerBestFirst] < harvest[frontier.SchedulerFIFOPriority] {
-		t.Errorf("best-first harvest %.3f below fifo baseline %.3f",
-			harvest[frontier.SchedulerBestFirst], harvest[frontier.SchedulerFIFOPriority])
+	if harvest[frontier.SchedulerLinkContext] <= harvest[frontier.SchedulerFIFOPriority] {
+		t.Errorf("link-context harvest %.3f not above fifo baseline %.3f",
+			harvest[frontier.SchedulerLinkContext], harvest[frontier.SchedulerFIFOPriority])
 	}
 }
 

@@ -111,31 +111,21 @@ func (s *fifoScheduler) PopTopic(topic string) (Item, bool) {
 	return it, true
 }
 
-// PopWorst prefers the incoming tier: outgoing entries already had their
-// DNS prefetch fired and are about to be crawled, so the spill tier takes
-// the tail from the large incoming queues first.
+// PopWorst takes the worst key over both tiers of every topic. After a Pop
+// a small topic queue sits entirely in its outgoing tier, so preferring the
+// incoming tier would spill the newest pushes whatever their priority.
 func (s *fifoScheduler) PopWorst() (Item, float64, uint64, bool) {
-	if it, eff, seq, ok := s.popWorstFrom(func(tq *topicQueues) *rbtree.Tree[key, Item] { return tq.incoming }); ok {
-		return it, eff, seq, true
-	}
-	return s.popWorstFrom(func(tq *topicQueues) *rbtree.Tree[key, Item] { return tq.outgoing })
-}
-
-func (s *fifoScheduler) popWorstFrom(sel func(*topicQueues) *rbtree.Tree[key, Item]) (Item, float64, uint64, bool) {
 	var worstKey key
 	var worstTree *rbtree.Tree[key, Item]
-	found := false
 	for _, name := range s.order {
-		t := sel(s.topics[name])
-		k, _, ok := t.Max()
-		if !ok {
-			continue
-		}
-		if !found || keyLess(worstKey, k) {
-			worstKey, worstTree, found = k, t, true
+		tq := s.topics[name]
+		for _, t := range [2]*rbtree.Tree[key, Item]{tq.incoming, tq.outgoing} {
+			if k, _, ok := t.Max(); ok && (worstTree == nil || keyLess(worstKey, k)) {
+				worstKey, worstTree = k, t
+			}
 		}
 	}
-	if !found {
+	if worstTree == nil {
 		return Item{}, 0, 0, false
 	}
 	_, it, _ := worstTree.Max()

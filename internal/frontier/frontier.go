@@ -7,8 +7,8 @@
 // manager: per-topic incoming/outgoing red-black trees ordered by SVM
 // confidence, with tunnelled links decayed exponentially per hop (§3.3) and
 // DNS resolution warmed up only for links promoted to an outgoing queue.
-// best-first, link-context and value-fn are alternative orderings raced by
-// the experiment harness (see DESIGN.md "Frontier scheduling").
+// link-context is the alternative ordering raced against it by the
+// experiment harness (see DESIGN.md "Frontier scheduling").
 //
 // Concurrency model: one mutex guards the scheduler and all shared state;
 // blocked PopWait callers park on a broadcast pulse channel instead of
@@ -300,18 +300,6 @@ func (f *Frontier) Push(it Item) bool {
 	return true
 }
 
-// Observe reports one fetched page's classification outcome to the
-// scheduler. Learning policies (value-fn) fold it into their link-value
-// estimates; the others ignore it. The crawler calls it for every stored
-// page, accepted or rejected.
-func (f *Frontier) Observe(o Outcome) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ob, ok := f.sched.(observer); ok {
-		ob.Observe(o)
-	}
-}
-
 // Requeue puts a previously popped item back with a cool-down: it becomes
 // eligible for popping again only after delay elapses. Requeues bypass the
 // seen set (the URL is already marked seen from its original Push) and are
@@ -565,8 +553,7 @@ func (f *Frontier) Stats() Stats {
 // Reset clears all queues but keeps the seen set, which is what the engine
 // does when switching from the learning phase to the harvesting phase (the
 // crawl is "resumed with the best hubs", not with stale frontier state).
-// Learned scheduler state (value-fn link values, link-context term caches)
-// also survives — the harvest phase keeps what the learning phase learned.
+// Scheduler state (link-context term caches) also survives.
 func (f *Frontier) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()

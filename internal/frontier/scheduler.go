@@ -12,32 +12,22 @@ const (
 	// decayed parent confidence with FIFO among equals, DNS prefetch fired
 	// on promotion to an outgoing queue.
 	SchedulerFIFOPriority = "fifo-priority"
-	// SchedulerBestFirst is a single global max-heap on decayed parent
-	// confidence: the purest form of the focused-crawl priority queue, with
-	// no per-topic promotion tier.
-	SchedulerBestFirst = "best-first"
 	// SchedulerLinkContext blends parent confidence with the similarity of
 	// the link's anchor text and URL tokens to the target topic's feature
 	// terms (PDD-crawler style link-context relevance prediction).
 	SchedulerLinkContext = "link-context"
-	// SchedulerValueFn orders by an online-learned multi-hop link value:
-	// each classified page's reward is credited back along its discovery
-	// path, so referrers (and their hosts) that lead to on-topic pages —
-	// even through low-confidence tunnel pages — rise in priority
-	// (Young & Dean style).
-	SchedulerValueFn = "value-fn"
 )
 
 // SchedulerNames lists every registered scheduler, default first.
 func SchedulerNames() []string {
-	return []string{SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn}
+	return []string{SchedulerFIFOPriority, SchedulerLinkContext}
 }
 
 // ValidateScheduler rejects unknown scheduler names with a listing of the
 // valid ones. The empty name is valid and selects the default.
 func ValidateScheduler(name string) error {
 	switch name {
-	case "", SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn:
+	case "", SchedulerFIFOPriority, SchedulerLinkContext:
 		return nil
 	}
 	return fmt.Errorf("frontier: unknown scheduler %q (want %v)", name, SchedulerNames())
@@ -45,7 +35,7 @@ func ValidateScheduler(name string) error {
 
 // key orders queued items: seeds first, then higher effective priority,
 // then FIFO among equals (lower sequence number first). For the ranking
-// schedulers prio is the policy's score rather than the raw effective
+// scheduler prio is the policy's score rather than the raw effective
 // priority.
 type key struct {
 	seed bool
@@ -98,30 +88,9 @@ type Scheduler interface {
 	// Dump streams every queued item in a deterministic order until fn
 	// returns false.
 	Dump(fn func(Item) bool)
-	// Reset discards every queued item. Learned policy state (link values,
-	// topic term caches) survives — a phase switch resumes with what the
-	// previous phase learned.
+	// Reset discards every queued item. Policy state (topic term caches)
+	// survives a phase switch.
 	Reset()
-}
-
-// Outcome is the classification feedback the crawler reports for one
-// fetched page. Learning schedulers (value-fn) use it to update their link
-// value estimates; the others ignore it.
-type Outcome struct {
-	// URL is the page's frontier URL exactly as it was pushed.
-	URL string
-	// Referrer is the page the link was discovered on.
-	Referrer string
-	// Confidence is the classifier confidence for the page.
-	Confidence float64
-	// Accepted reports whether the page was classified into a topic of
-	// interest.
-	Accepted bool
-}
-
-// observer is implemented by schedulers that learn from crawl feedback.
-type observer interface {
-	Observe(Outcome)
 }
 
 // newScheduler builds the named policy. Unknown names (which
@@ -129,12 +98,8 @@ type observer interface {
 // Frontier is always usable.
 func newScheduler(cfg Config) Scheduler {
 	switch cfg.Scheduler {
-	case SchedulerBestFirst:
-		return newRankScheduler(SchedulerBestFirst, cfg.IncomingLimit, bestFirstScorer{})
 	case SchedulerLinkContext:
-		return newRankScheduler(SchedulerLinkContext, cfg.IncomingLimit, newLinkContextScorer(cfg.TopicTerms))
-	case SchedulerValueFn:
-		return newRankScheduler(SchedulerValueFn, cfg.IncomingLimit, newValueFnScorer())
+		return newRankScheduler(cfg.IncomingLimit, newLinkContextScorer(cfg.TopicTerms))
 	default:
 		return newFIFOScheduler(cfg.IncomingLimit, cfg.OutgoingLimit, cfg.Prefetch)
 	}

@@ -279,11 +279,11 @@ func TestRestoreNormalizesLegacySeedSentinel(t *testing.T) {
 	}
 }
 
-// TestRankSchedulersBasicOrder: the single-queue schedulers must pop by
-// decreasing score with FIFO among equals. With no referrer history and no
-// topic terms, all three reduce to ordering by effective priority.
+// TestRankSchedulersBasicOrder: the single-queue scheduler must pop by
+// decreasing score with FIFO among equals. With no topic terms it reduces
+// to ordering by effective priority.
 func TestRankSchedulersBasicOrder(t *testing.T) {
-	for _, name := range []string{SchedulerBestFirst, SchedulerLinkContext, SchedulerValueFn} {
+	for _, name := range []string{SchedulerLinkContext} {
 		t.Run(name, func(t *testing.T) {
 			f := newTestFrontier(t, name, nil)
 			f.Push(Item{URL: "http://a.example/1", Topic: "ROOT/t", Priority: 0.5})
@@ -304,7 +304,7 @@ func TestRankSchedulersBasicOrder(t *testing.T) {
 // TestRankSchedulerPopTopic: PopTopic on a single-queue scheduler must
 // return that topic's best item and leave other topics untouched.
 func TestRankSchedulerPopTopic(t *testing.T) {
-	f := newTestFrontier(t, SchedulerBestFirst, nil)
+	f := newTestFrontier(t, SchedulerLinkContext, nil)
 	f.Push(Item{URL: "http://a.example/1", Topic: "ROOT/a", Priority: 0.9})
 	f.Push(Item{URL: "http://b.example/1", Topic: "ROOT/b", Priority: 0.8})
 	f.Push(Item{URL: "http://b.example/2", Topic: "ROOT/b", Priority: 0.95})
@@ -346,41 +346,25 @@ func TestLinkContextPrefersTopicalAnchors(t *testing.T) {
 	}
 }
 
-// TestValueFnLearnsReferrerValue: after observing that pages from one
-// referrer classify on-topic and pages from another do not, new links from
-// the good referrer must outrank same-confidence links from the bad one.
-func TestValueFnLearnsReferrerValue(t *testing.T) {
-	f := newTestFrontier(t, SchedulerValueFn, nil)
-	good := "http://hub.example/good"
-	bad := "http://junk.example/bad"
-	for i := 0; i < 5; i++ {
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/g%d", i), Referrer: good, Confidence: 0.8, Accepted: true})
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/b%d", i), Referrer: bad, Confidence: 0.1, Accepted: false})
+// TestFIFOPopWorstSpansBothTiers: a Pop promotes the whole small queue into
+// the outgoing tier, so a better link pushed afterwards sits alone in the
+// incoming tier. PopWorst must still return the worst key overall, never
+// that newcomer — otherwise the spill tier evicts the freshest good links.
+func TestFIFOPopWorstSpansBothTiers(t *testing.T) {
+	s := newFIFOScheduler(100, 1000, nil)
+	s.Push(Item{URL: "http://a.example/", Topic: "ROOT/t"}, 0.2, 1)
+	s.Push(Item{URL: "http://b.example/", Topic: "ROOT/t"}, 0.1, 2)
+	s.Push(Item{URL: "http://c.example/", Topic: "ROOT/t"}, 0.3, 3)
+	if it, ok := s.Pop(); !ok || it.URL != "http://c.example/" {
+		t.Fatalf("pop = %q (ok=%v), want http://c.example/", it.URL, ok)
 	}
-	f.Push(Item{URL: "http://new.example/frombad", Topic: "ROOT/t", Priority: 0.5, Referrer: bad})
-	f.Push(Item{URL: "http://new.example/fromgood", Topic: "ROOT/t", Priority: 0.5, Referrer: good})
-	it, ok := f.Pop()
-	if !ok || it.URL != "http://new.example/fromgood" {
-		t.Fatalf("first pop = %q (ok=%v), want the link from the learned-good referrer", it.URL, ok)
+	s.Push(Item{URL: "http://d.example/", Topic: "ROOT/t"}, 0.9, 4)
+	it, eff, seq, ok := s.PopWorst()
+	if !ok || it.URL != "http://b.example/" || eff != 0.1 || seq != 2 {
+		t.Fatalf("PopWorst = %q eff=%v seq=%d (ok=%v), want http://b.example/ eff=0.1 seq=2", it.URL, eff, seq, ok)
 	}
-}
-
-// TestValueFnCreditsMultiHop: a reward must propagate along the discovery
-// path, raising the value of grandparent referrers too.
-func TestValueFnCreditsMultiHop(t *testing.T) {
-	sc := newValueFnScorer()
-	// Path: root -> mid -> leaf; leaf classifies on-topic.
-	sc.recordParent("http://mid.example/", "http://root.example/")
-	sc.Observe(Outcome{URL: "http://leaf.example/", Referrer: "http://mid.example/", Confidence: 1, Accepted: true})
-	if sc.vals["http://mid.example/"] <= 0 {
-		t.Fatal("parent referrer earned no credit")
-	}
-	if sc.vals["http://root.example/"] <= 0 {
-		t.Fatal("grandparent referrer earned no credit")
-	}
-	if sc.vals["http://root.example/"] >= sc.vals["http://mid.example/"] {
-		t.Fatalf("grandparent credit %v not discounted below parent credit %v",
-			sc.vals["http://root.example/"], sc.vals["http://mid.example/"])
+	if s.Len() != 2 {
+		t.Fatalf("Len after PopWorst = %d, want 2", s.Len())
 	}
 }
 
@@ -417,38 +401,29 @@ func TestSchedulerDumpRestoreRoundTrip(t *testing.T) {
 }
 
 // TestResetKeepsLearnedState: Reset drops queued items but keeps the
-// value-fn link values, so a phase switch crawls with what it learned.
+// link-context topic-term cache, so a phase switch does not query the
+// classifier's feature terms again.
 func TestResetKeepsLearnedState(t *testing.T) {
-	f := newTestFrontier(t, SchedulerValueFn, nil)
-	good := "http://hub.example/good"
-	for i := 0; i < 5; i++ {
-		f.Observe(Outcome{URL: fmt.Sprintf("http://t.example/%d", i), Referrer: good, Confidence: 0.9, Accepted: true})
-	}
+	calls := 0
+	f := newTestFrontier(t, SchedulerLinkContext, func(c *Config) {
+		c.TopicTerms = func(string) map[string]float64 {
+			calls++
+			return map[string]float64{"databas": 1}
+		}
+	})
 	f.Push(Item{URL: "http://stale.example/", Topic: "ROOT/t", Priority: 0.5})
 	f.Reset()
 	if f.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", f.Len())
 	}
-	f.Forget("http://new.example/fromgood")
-	f.Forget("http://new.example/plain")
 	f.Push(Item{URL: "http://new.example/plain", Topic: "ROOT/t", Priority: 0.5})
-	f.Push(Item{URL: "http://new.example/fromgood", Topic: "ROOT/t", Priority: 0.5, Referrer: good})
-	it, ok := f.Pop()
-	if !ok || it.URL != "http://new.example/fromgood" {
-		t.Fatalf("first pop after Reset = %q (ok=%v): learned referrer value was lost", it.URL, ok)
+	f.Push(Item{URL: "http://new.example/databases", Topic: "ROOT/t", Priority: 0.5})
+	if calls != 1 {
+		t.Fatalf("TopicTerms called %d times across Reset, want 1 (cache lost)", calls)
 	}
-}
-
-// TestObserveIgnoredByNonLearning: Observe on non-learning schedulers is a
-// harmless no-op — the crawler calls it unconditionally.
-func TestObserveIgnoredByNonLearning(t *testing.T) {
-	for _, name := range []string{SchedulerFIFOPriority, SchedulerBestFirst, SchedulerLinkContext} {
-		f := newTestFrontier(t, name, nil)
-		f.Observe(Outcome{URL: "http://x.example/", Referrer: "http://y.example/", Confidence: 0.5, Accepted: true})
-		f.Push(Item{URL: "http://x.example/a", Topic: "ROOT/t", Priority: 0.5})
-		if _, ok := f.Pop(); !ok {
-			t.Fatalf("%s: pop failed after Observe", name)
-		}
+	it, ok := f.Pop()
+	if !ok || it.URL != "http://new.example/databases" {
+		t.Fatalf("first pop after Reset = %q (ok=%v), want the topical link", it.URL, ok)
 	}
 }
 

@@ -121,7 +121,7 @@ func TestWriteOverheadBenchJSON(t *testing.T) {
 		HistObserveNop: measureOp(BenchmarkMetricsOverheadHistogramObserveNop),
 		HistObservePar: measureOp(BenchmarkMetricsOverheadHistogramObserveParallel),
 		TraceAppend:    measureOp(BenchmarkMetricsOverheadTraceAppend),
-		// BENCH_crawl.json batched median ≈ 18167 pages/cpu-sec → ~55µs of
+		// The batched crawl path measured ≈ 18167 pages/cpu-sec → ~55µs of
 		// CPU per page; the handful of per-page metric events must stay ≪2%
 		// of that.
 		CrawlBudgetNsPage: 55000,

@@ -9,9 +9,9 @@
 // Design constraints, in order:
 //
 //   - Hot-path neutrality. Counter.Inc and Histogram.Observe are
-//     zero-allocation and lock-free (asserted in tests); the crawl and
-//     query benchmarks must stay within 2% of their uninstrumented
-//     baselines (BENCH_crawl.json, BENCH_search.json).
+//     zero-allocation and lock-free (asserted in tests); the per-page
+//     and per-query event cost must stay within 2% of the crawl and query
+//     CPU budget (BENCH_overhead.json).
 //   - Stdlib only. No client_golang, no OpenTelemetry; the Prometheus
 //     text format is written by hand.
 //   - Crash-only reads. Exporters take a point-in-time snapshot; they

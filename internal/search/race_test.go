@@ -11,8 +11,8 @@ import (
 )
 
 // seededWorld builds a deterministic store with varied topics, texts (for
-// phrase queries), confidences, and a link graph, so the legacy and the
-// snapshot read paths can be compared over every query shape.
+// phrase queries), confidences, and a link graph, so the reference scorer
+// and the snapshot read path can be compared over every query shape.
 func seededWorld(t testing.TB, nDocs int) *store.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -49,8 +49,8 @@ func seededWorld(t testing.TB, nDocs int) *store.Store {
 }
 
 // equivalentHits compares two ranked lists with a floating-point tolerance:
-// legacy scoring iterates maps, so its sums can differ from the snapshot
-// scorer's in the last ulp.
+// the reference scorer iterates maps, so its sums can differ from the
+// snapshot scorer's in the last ulp.
 func equivalentHits(t *testing.T, label string, legacy, indexed []Hit) {
 	t.Helper()
 	if len(legacy) != len(indexed) {
@@ -79,11 +79,11 @@ func equivalentHits(t *testing.T, label string, legacy, indexed []Hit) {
 
 // TestSnapshotMatchesLegacyScoring checks the core refactor invariant: on a
 // seeded world, the index-native scorer returns exactly the hits and scores
-// of the original per-candidate scorer, across every query shape.
+// of the original per-candidate scorer (referenceEngine), across every
+// query shape.
 func TestSnapshotMatchesLegacyScoring(t *testing.T) {
 	s := seededWorld(t, 300)
-	legacyEng := New(s)
-	legacyEng.LegacyScoring = true
+	legacyEng := newReference(s)
 	indexedEng := New(s)
 
 	queries := []Query{
@@ -116,7 +116,8 @@ func TestSnapshotMatchesLegacyScoring(t *testing.T) {
 
 // TestConcurrentQueriesAndInserts runs mixed queries against a store under
 // concurrent insert/link churn (meant for -race), checking per-result
-// invariants during the churn and full legacy/sequential agreement after it.
+// invariants during the churn and full reference/sequential agreement after
+// it.
 func TestConcurrentQueriesAndInserts(t *testing.T) {
 	s := seededWorld(t, 100)
 	e := New(s)
@@ -174,10 +175,9 @@ func TestConcurrentQueriesAndInserts(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent: the churned engine must now agree with a fresh engine and
-	// with the legacy path over the final store state.
+	// with the reference scorer over the final store state.
 	fresh := New(s)
-	legacy := New(s)
-	legacy.LegacyScoring = true
+	legacy := newReference(s)
 	for _, q := range []Query{
 		{Text: "recovery fresh", Limit: 1000},
 		{Text: "recovery", Exact: true, Limit: 1000},

@@ -10,28 +10,23 @@
 // snapshot.go): per-document tf·idf norms, confidence, topic, and URL are
 // precomputed once per store epoch, scoring accumulates term-at-a-time from
 // the live postings into dense per-DocID arrays, and result selection uses
-// a bounded top-K heap. The original per-candidate map-vector scorer is
-// retained behind LegacyScoring as the same-commit A/B baseline.
+// a bounded top-K heap.
 package search
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/bingo-search/bingo/internal/hits"
 	"github.com/bingo-search/bingo/internal/metrics"
 	"github.com/bingo-search/bingo/internal/store"
 	"github.com/bingo-search/bingo/internal/textproc"
-	"github.com/bingo-search/bingo/internal/vsm"
 )
 
 // Process-wide search metrics: query traffic and latency, snapshot churn
 // (rebuilds vs stale serves — the freshness/latency trade the snapshot
-// design makes), and result-set sizes. The same counters cover the legacy
-// and indexed paths so A/B comparisons stay fair.
+// design makes), and result-set sizes.
 var (
 	mQueries        = metrics.NewCounter("search_queries_total")
 	mQueryNanos     = metrics.NewHistogram("search_query_nanos")
@@ -87,18 +82,13 @@ type Hit struct {
 }
 
 // Engine answers queries over a crawl database. Derived state — the search
-// snapshot, and the legacy path's idf table and HITS authority scores — is
-// cached and invalidated on the store's mutation epoch, so any write
+// snapshot with its idf table and HITS authority scores — is cached and
+// invalidated on the store's per-shard mutation epochs, so any write
 // (including a delete followed by an insert that leaves the document count
 // unchanged) refreshes it.
 type Engine struct {
 	store *store.Store
 	pipe  *textproc.Pipeline
-
-	// LegacyScoring routes Search through the original per-candidate
-	// map-vector scorer of the pre-snapshot engine. It exists so the A/B
-	// benchmark can compare both read paths on the same commit.
-	LegacyScoring bool
 
 	// view is the current immutable search view (one snapshot per store
 	// shard plus the merged idf layer); buildMu singleflights rebuilds
@@ -108,13 +98,6 @@ type Engine struct {
 	// scratch pools per-query scoring state (dense accumulators, candidate
 	// list, top-K heap) so the scoring loop allocates nothing.
 	scratch sync.Pool
-
-	// Legacy-path caches, keyed on the store epoch.
-	mu        sync.Mutex
-	idfEpoch  int64
-	idf       *vsm.IDFTable
-	authEpoch int64
-	authority map[string]float64
 }
 
 // New builds a search engine over s.
@@ -173,11 +156,6 @@ func (e *Engine) Search(q Query) []Hit {
 // needed. The returned slice is shared with the engine's immutable view
 // and must not be modified. Epochs is nil when the query has no indexable
 // stems (the result is the empty list for every epoch).
-//
-// On the legacy scoring path the epochs are read from the store before
-// scoring; a write racing the query can therefore make the result carry
-// newer data than the vector claims — the same one-sided staleness
-// guarantee buildShardSnap documents.
 func (e *Engine) SearchWithEpochs(q Query) ([]Hit, []int64) {
 	return e.search(q)
 }
@@ -189,120 +167,9 @@ func (e *Engine) search(q Query) ([]Hit, []int64) {
 	}
 	mQueries.Inc()
 	start := time.Now()
-	var hits []Hit
-	var epochs []int64
-	if e.LegacyScoring {
-		epochs = e.storeEpochs()
-		hits = e.searchLegacy(q, p)
-	} else {
-		hits, epochs = e.searchIndexed(q, p)
-	}
+	hits, epochs := e.searchIndexed(q, p)
 	mQueryNanos.ObserveSince(start)
 	return hits, epochs
-}
-
-// storeEpochs snapshots the store's per-shard epoch vector.
-func (e *Engine) storeEpochs() []int64 {
-	eps := make([]int64, e.store.NumShards())
-	for i := range eps {
-		eps[i] = e.store.ShardEpoch(i)
-	}
-	return eps
-}
-
-// searchLegacy is the original read path: candidate DocIDs from copied
-// postings, a store.Get and an idf.Weight map-vector per candidate, and a
-// full sort of all candidates. Kept verbatim (modulo the epoch-keyed
-// caches) as the measurable pre-optimization baseline.
-func (e *Engine) searchLegacy(q Query, p parsedQuery) []Hit {
-	w := q.Weights
-
-	// Candidate retrieval through the inverted index.
-	counts := make(map[store.DocID]int)
-	for term := range p.uniq {
-		ids, _ := e.store.Postings(term)
-		for _, id := range ids {
-			counts[id]++
-		}
-	}
-	var candidates []store.Document
-	for id, n := range counts {
-		if q.Exact && n < len(p.uniq) {
-			continue
-		}
-		d, err := e.store.Get(id)
-		if err != nil {
-			continue
-		}
-		if d.Tenant != q.Tenant {
-			continue
-		}
-		if !topicMatches(d.Topic, q.Topic) {
-			continue
-		}
-		if len(p.phraseStems) > 0 && !e.matchesPhrases(d, p.phraseStems) {
-			continue
-		}
-		candidates = append(candidates, d)
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-
-	// Query vector in the store's idf space.
-	idf := e.idfTable()
-	qv := idf.Weight(p.uniq)
-
-	hitsList := make([]Hit, len(candidates))
-	var maxCos, maxConf float64
-	for i, d := range candidates {
-		dv := idf.Weight(d.Terms)
-		c := vsm.Cosine(qv, dv)
-		hitsList[i] = Hit{Doc: d, Cosine: c, Confidence: d.Confidence}
-		if c > maxCos {
-			maxCos = c
-		}
-		if d.Confidence > maxConf {
-			maxConf = d.Confidence
-		}
-	}
-
-	var maxAuth float64
-	if w.Authority != 0 {
-		authScores := e.authorityScores()
-		for i := range hitsList {
-			a := authScores[hitsList[i].Doc.URL]
-			hitsList[i].Authority = a
-			if a > maxAuth {
-				maxAuth = a
-			}
-		}
-	}
-
-	// Normalize each component to [0,1] and combine.
-	for i := range hitsList {
-		h := &hitsList[i]
-		if maxCos > 0 {
-			h.Cosine /= maxCos
-		}
-		if maxConf > 0 {
-			h.Confidence /= maxConf
-		}
-		if maxAuth > 0 {
-			h.Authority /= maxAuth
-		}
-		h.Score = w.Cosine*h.Cosine + w.Confidence*h.Confidence + w.Authority*h.Authority
-	}
-	sort.Slice(hitsList, func(i, j int) bool {
-		if hitsList[i].Score != hitsList[j].Score {
-			return hitsList[i].Score > hitsList[j].Score
-		}
-		return hitsList[i].Doc.URL < hitsList[j].Doc.URL
-	})
-	if len(hitsList) > q.Limit {
-		hitsList = hitsList[:q.Limit]
-	}
-	return hitsList
 }
 
 // splitPhrases extracts double-quoted phrases from a query string and
@@ -334,18 +201,8 @@ func splitPhrases(text string) (free string, phrases []string) {
 	return freeB.String(), phrases
 }
 
-// matchesPhrases reports whether every phrase occurs as a consecutive stem
-// sequence in the document's text (legacy path: re-stems per candidate).
-func (e *Engine) matchesPhrases(d store.Document, phrases [][]string) bool {
-	docStems := e.pipe.StemsParts(d.Title, d.Text)
-	for _, p := range phrases {
-		if !containsSeq(docStems, p) {
-			return false
-		}
-	}
-	return true
-}
-
+// containsSeq reports whether needle occurs as a consecutive run in
+// haystack.
 func containsSeq(haystack, needle []string) bool {
 	if len(needle) == 0 {
 		return true
@@ -363,57 +220,6 @@ outer:
 		return true
 	}
 	return false
-}
-
-// topicMatches reports whether docTopic equals filter or lies below it.
-func topicMatches(docTopic, filter string) bool {
-	if filter == "" {
-		return true
-	}
-	return docTopic == filter || strings.HasPrefix(docTopic, filter+"/")
-}
-
-// idfTable returns an idf snapshot over the store, rebuilding it only when
-// the store has mutated since the last query (legacy path).
-func (e *Engine) idfTable() *vsm.IDFTable {
-	epoch := e.store.Epoch()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.idf != nil && e.idfEpoch == epoch {
-		return e.idf
-	}
-	stats := vsm.NewCorpusStats()
-	for _, d := range e.store.All() {
-		stats.AddDoc(d.Terms)
-	}
-	e.idf = stats.Snapshot()
-	e.idfEpoch = epoch
-	return e.idf
-}
-
-// authorityScores runs HITS over the stored link graph (§3.6: "it can
-// perform the HITS link analysis to compute authority scores and produce a
-// ranking according to these scores"), cached per store epoch (legacy
-// path).
-func (e *Engine) authorityScores() map[string]float64 {
-	epoch := e.store.Epoch()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.authority != nil && e.authEpoch == epoch {
-		return e.authority
-	}
-	g := hits.NewGraph()
-	for _, l := range e.store.Links() {
-		g.AddEdge(l.From, hostOf(l.From), l.To, hostOf(l.To))
-	}
-	res := g.Run(hits.DefaultOptions())
-	out := make(map[string]float64, len(res.Authorities))
-	for _, s := range res.Authorities {
-		out[s.ID] = s.Value
-	}
-	e.authority = out
-	e.authEpoch = epoch
-	return out
 }
 
 // hostOf extracts the host part of an absolute URL without a full parse:

@@ -369,38 +369,35 @@ func TestRankingDeterministicOrder(t *testing.T) {
 // count-keyed cache would keep serving the deleted document's idf and
 // authority state.
 func TestCachesInvalidateOnDeleteInsert(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		s := store.New()
-		s.Insert(store.Document{URL: "u1", Topic: "t", Confidence: 0.5,
-			Terms: map[string]int{"alpha": 1}})
-		s.Insert(store.Document{URL: "u2", Topic: "t", Confidence: 0.5,
-			Terms: map[string]int{"alpha": 1, "beta": 2}})
-		e := New(s)
-		e.LegacyScoring = legacy
-		if got := e.Search(Query{Text: "beta"}); len(got) != 1 || got[0].Doc.URL != "u2" {
-			t.Fatalf("legacy=%v: warm-up search = %+v", legacy, got)
-		}
-		// Same document count, different content.
-		s.Delete("u2")
-		s.Insert(store.Document{URL: "u3", Topic: "t", Confidence: 0.9,
-			Terms: map[string]int{"alpha": 1, "gamma": 2}})
-		if got := e.Search(Query{Text: "beta"}); len(got) != 0 {
-			t.Errorf("legacy=%v: deleted document still served: %+v", legacy, got)
-		}
-		got := e.Search(Query{Text: "gamma"})
-		if len(got) != 1 || got[0].Doc.URL != "u3" {
-			t.Errorf("legacy=%v: replacement document missing: %+v", legacy, got)
-		}
+	s := store.New()
+	s.Insert(store.Document{URL: "u1", Topic: "t", Confidence: 0.5,
+		Terms: map[string]int{"alpha": 1}})
+	s.Insert(store.Document{URL: "u2", Topic: "t", Confidence: 0.5,
+		Terms: map[string]int{"alpha": 1, "beta": 2}})
+	e := New(s)
+	if got := e.Search(Query{Text: "beta"}); len(got) != 1 || got[0].Doc.URL != "u2" {
+		t.Fatalf("warm-up search = %+v", got)
+	}
+	// Same document count, different content.
+	s.Delete("u2")
+	s.Insert(store.Document{URL: "u3", Topic: "t", Confidence: 0.9,
+		Terms: map[string]int{"alpha": 1, "gamma": 2}})
+	if got := e.Search(Query{Text: "beta"}); len(got) != 0 {
+		t.Errorf("deleted document still served: %+v", got)
+	}
+	got := e.Search(Query{Text: "gamma"})
+	if len(got) != 1 || got[0].Doc.URL != "u3" {
+		t.Errorf("replacement document missing: %+v", got)
+	}
 
-		// Authority scores must refresh on a link append alone (count also
-		// unchanged).
-		e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}}) // warm authority cache
-		s.AddLink(store.Link{From: "http://a.example/x", To: "u1"})
-		s.AddLink(store.Link{From: "http://b.example/y", To: "u1"})
-		got = e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}})
-		if len(got) == 0 || got[0].Doc.URL != "u1" {
-			t.Errorf("legacy=%v: authority cache stale after link append: %+v", legacy, got)
-		}
+	// Authority scores must refresh on a link append alone (count also
+	// unchanged).
+	e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}}) // warm authority cache
+	s.AddLink(store.Link{From: "http://a.example/x", To: "u1"})
+	s.AddLink(store.Link{From: "http://b.example/y", To: "u1"})
+	got = e.Search(Query{Text: "alpha", Weights: Weights{Authority: 1}})
+	if len(got) == 0 || got[0].Doc.URL != "u1" {
+		t.Errorf("authority cache stale after link append: %+v", got)
 	}
 }
 
@@ -473,29 +470,5 @@ func BenchmarkScoringLoop(b *testing.B) {
 		sc := e.getScratch(snap)
 		e.scoreCandidates(sc, snap, q, p)
 		e.putScratch(sc)
-	}
-}
-
-// BenchmarkSearchLegacy is the in-package view of the A/B comparison (the
-// interleaved harness lives in the repo root).
-func BenchmarkSearchLegacy(b *testing.B) {
-	s := store.New()
-	for i := 0; i < 2000; i++ {
-		s.Insert(store.Document{
-			URL:        fmt.Sprintf("http://h%d.example/d%d", i%50, i),
-			Topic:      "ROOT/db",
-			Confidence: float64(i%100) / 100,
-			Terms: map[string]int{
-				"recoveri":                1 + i%3,
-				fmt.Sprintf("t%d", i%200): 2,
-			},
-		})
-	}
-	e := New(s)
-	e.LegacyScoring = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Search(Query{Text: "recovery"})
 	}
 }

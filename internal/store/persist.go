@@ -386,46 +386,6 @@ func loadRows(s *Store, links []Link, redirects []Redirect) {
 	}
 }
 
-// encodeV1 writes the version-1 layout (kept for round-trip tests against
-// the previous release's reader).
-func (s *Store) encodeV1(w io.Writer) error {
-	snap := snapshotV1{
-		ShardCount: len(s.shards),
-		NextSeqs:   make([]int64, len(s.shards)),
-	}
-	snap.Docs = make([]Document, 0, s.NumDocs())
-	for i, sh := range s.shards {
-		sh.docMu.RLock()
-		snap.NextSeqs[i] = sh.nextSeq
-		for _, d := range sh.docs {
-			if sh.tier != nil {
-				snap.Docs = append(snap.Docs, sh.hydrateLocked(d))
-			} else {
-				snap.Docs = append(snap.Docs, *d)
-			}
-		}
-		sh.docMu.RUnlock()
-		sh.linkMu.RLock()
-		for _, ls := range sh.outLinks {
-			snap.Links = append(snap.Links, ls...)
-		}
-		sh.linkMu.RUnlock()
-		sh.redirMu.RLock()
-		snap.Redirects = append(snap.Redirects, sh.redirects...)
-		sh.redirMu.RUnlock()
-	}
-	if _, err := w.Write(storeMagic[:]); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if _, err := w.Write([]byte{1}); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	return nil
-}
-
 // Save writes the store to path atomically (write to a temp file, then
 // rename).
 func (s *Store) Save(path string) error {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -805,14 +806,39 @@ func TestPersistV1StillReadable(t *testing.T) {
 	s := NewSharded(4)
 	fillSharded(s, 120)
 	var buf bytes.Buffer
-	if err := s.encodeV1(&buf); err != nil {
-		t.Fatal(err)
-	}
+	writeV1Stream(t, &buf, s)
 	loaded, err := Decode(&buf)
 	if err != nil {
 		t.Fatalf("decode v1: %v", err)
 	}
 	requireStoresEqual(t, "v1-compat", loaded, s)
+}
+
+// writeV1Stream emits an untiered store exactly as the version-1 Encode
+// did: the magic, version byte 1, then a gob of snapshotV1 carrying every
+// document, each shard's outgoing links and redirects, and the per-shard
+// sequence counters.
+func writeV1Stream(t *testing.T, buf *bytes.Buffer, s *Store) {
+	t.Helper()
+	snap := snapshotV1{
+		ShardCount: len(s.shards),
+		NextSeqs:   make([]int64, len(s.shards)),
+	}
+	for i, sh := range s.shards {
+		snap.NextSeqs[i] = sh.nextSeq
+		for _, d := range sh.docs {
+			snap.Docs = append(snap.Docs, *d)
+		}
+		for _, ls := range sh.outLinks {
+			snap.Links = append(snap.Links, ls...)
+		}
+		snap.Redirects = append(snap.Redirects, sh.redirects...)
+	}
+	buf.Write(storeMagic[:])
+	buf.WriteByte(1)
+	if err := gob.NewEncoder(buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestTieredFailedFreezeRetainsWALGenerations: a freeze whose segment
