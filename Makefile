@@ -7,11 +7,11 @@
 # load; `make bench-serve` regenerates BENCH_serve.json, the record of the
 # serving path's epoch-keyed result-cache speedup under open-loop load;
 # `make bench-segments` regenerates BENCH_segments.json, the record of the
-# disk-native segment tier's heap economy, cold-start speedup, and write
+# disk-native segment tier's heap economy, cold-start latency, and write
 # amplification; `make bench-frontier` regenerates BENCH_frontier.json, the
 # frontier-scheduler harvest-ratio race; `make smoke` boots portald and
-# drives a loadgen burst end to end, then kill -9s a tiered crawl and
-# verifies WAL recovery.
+# drives a loadgen burst end to end, then kill -9s a tiered crawl, verifies
+# WAL recovery, and queries the recovered data dir with bingosearch -db.
 
 GO ?= go
 
@@ -90,16 +90,17 @@ smoke-dist:
 smoke-tenant:
 	sh scripts/smoke_tenant.sh
 
-# doccheck fails when any exported identifier in the wire-protocol or
-# coordinator packages lacks a godoc comment — the distributed API is the
-# documented operational surface, so undocumented API is a build break.
+# doccheck fails when any exported identifier in the wire-protocol,
+# coordinator, store or engine packages lacks a godoc comment — the
+# distributed API and the persistence API are the documented operational
+# surface, so undocumented API is a build break.
 doccheck:
-	$(GO) run ./cmd/doccheck internal/rpc internal/coord
+	$(GO) run ./cmd/doccheck internal/rpc internal/coord internal/store internal/core
 
 # bench-segments reports cold-start latency for the segment tier, then
 # records the tiered-vs-in-memory evidence — corpus held per heap byte,
-# cold start vs gob decode, write amplification, on-disk compression, and
-# the read-API equivalence gate — in BENCH_segments.json. Not part of CI.
+# cold-start latency, write amplification, on-disk compression, and the
+# read-API equivalence gate — in BENCH_segments.json. Not part of CI.
 bench-segments:
 	$(GO) test -run '^$$' -bench 'BenchmarkTieredColdStart' -benchtime 3x ./internal/store
 	BENCH_JSON=$(CURDIR)/BENCH_segments.json $(GO) test -run TestWriteSegmentsBenchJSON -v -timeout 600s -count=1 ./internal/store

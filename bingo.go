@@ -132,10 +132,13 @@ func ValidateTenantID(id string) error { return core.ValidateTenantID(id) }
 // NewEngine builds a focused-crawl engine from cfg.
 func NewEngine(cfg Config) (*Engine, error) { return core.New(cfg) }
 
-// LoadSession rebuilds an engine from a session saved with
-// Engine.SaveSession: the crawl database, training set and lifecycle
-// counters are restored, the classifier is retrained, and the duplicate
+// LoadSession resumes a crawl saved with Engine.SaveSession. The engine
+// reopens the crawl database in cfg.DataDir, which must be the data dir the
+// crawl ran in; the session file restores the training set, frontier and
+// lifecycle counters. The classifier is retrained, and the duplicate
 // detector is primed so a resumed harvest does not refetch stored pages.
+// Session files from earlier releases embed their crawl database and load
+// into memory, with cfg.DataDir left empty.
 func LoadSession(cfg Config, path string) (*Engine, error) { return core.LoadSession(cfg, path) }
 
 // DefaultConfig returns cfg with every zero field replaced by the paper's

@@ -1,12 +1,15 @@
 // Command bingo runs a complete focused crawl — bootstrap, learning phase,
 // harvesting phase — against the built-in synthetic web, then answers a
-// query over the crawl result and optionally persists the crawl database.
+// query over the crawl result. With -data-dir the crawl database is written
+// through a disk-backed data dir that bingosearch -db and portald -db can
+// open later, and -session saves the rest of the crawl state so -resume can
+// continue it.
 //
 // Usage:
 //
 //	bingo [-world tiny|small|default] [-mode portal|expert]
-//	      [-learn N] [-harvest N] [-query "words"] [-save crawl.db]
-//	      [-metrics]
+//	      [-learn N] [-harvest N] [-query "words"]
+//	      [-data-dir dir [-session file] [-resume file]] [-metrics]
 package main
 
 import (
@@ -31,10 +34,9 @@ func main() {
 	learnBudget := flag.Int64("learn", 100, "learning-phase page budget")
 	harvestBudget := flag.Int64("harvest", 500, "harvesting-phase page budget")
 	query := flag.String("query", "", "query to run against the crawl result (default depends on mode)")
-	save := flag.String("save", "", "path to persist the crawl database (gob)")
 	xmlOut := flag.String("xml", "", "path to export the crawl as semantically tagged XML")
-	sessionOut := flag.String("session", "", "path to save the full crawl session (resumable)")
-	resume := flag.String("resume", "", "path of a saved session to resume instead of starting fresh")
+	sessionOut := flag.String("session", "", "path to save the crawl session (resumable; needs -data-dir, which holds its documents)")
+	resume := flag.String("resume", "", "path of a saved session to resume instead of starting fresh (in the -data-dir it was saved with)")
 	showMetrics := flag.Bool("metrics", false, "dump process metrics (Prometheus text format) after the run")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the deterministic fault-injection plane")
 	chaosProfile := flag.String("chaos-profile", "off", "fault profile: off, default, flaky, slow, poison or flap")
@@ -46,6 +48,9 @@ func main() {
 	scheduler := flag.String("scheduler", "", "frontier crawl-ordering policy: fifo-priority (default) or link-context")
 	frontierBudget := flag.Int("frontier-budget", 0, "max frontier links held in memory; the tail spills to sorted on-disk runs (0 = unbounded)")
 	flag.Parse()
+	if *sessionOut != "" && *dataDir == "" {
+		log.Fatal("-session needs -data-dir: a saved session keeps its documents in the data dir")
+	}
 
 	var plane *faults.Plane
 	if *chaosProfile != "" && *chaosProfile != "off" {
@@ -137,6 +142,10 @@ haveTopics:
 		}
 		cfg.DNSServers = []bingo.DNSServerSpec{{Table: table}}
 		cfg.StoreShards = *storeShards
+		cfg.DataDir = *dataDir
+		cfg.MemtableBudget = *memtableBudget
+		cfg.CompactFanout = *compactFanout
+		cfg.WALSync = *walSync
 		cfg.Scheduler = *scheduler
 		cfg.FrontierBudget = *frontierBudget
 		chaos(&cfg)
@@ -219,12 +228,6 @@ haveTopics:
 		fmt.Println("(no results)")
 	}
 
-	if *save != "" {
-		if err := eng.Store().Save(*save); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ncrawl database saved to %s (%d documents)\n", *save, eng.Store().NumDocs())
-	}
 	if *sessionOut != "" {
 		if err := eng.SaveSession(*sessionOut); err != nil {
 			log.Fatal(err)

@@ -1,11 +1,12 @@
-// Command bingosearch queries a crawl database saved by cmd/bingo (or
-// Engine.Store().Save): the paper's local search engine (§3.6) as a
+// Command bingosearch queries a crawl database — the data dir a crawl ran
+// in (cmd/bingo -data-dir, portald -data-dir), or a stream file saved by
+// an earlier release: the paper's local search engine (§3.6) as a
 // standalone tool, with exact/vague filtering, topic scoping, combined
 // rankings and query-focused snippets.
 //
 // Usage:
 //
-//	bingosearch -db crawl.db [-topic ROOT/databases] [-exact]
+//	bingosearch -db crawl-dir [-topic ROOT/databases] [-exact]
 //	            [-wcos 1 -wconf 0 -wauth 0] [-n 10] "query words"
 package main
 
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "", "path to a saved crawl database (required)")
+	db := flag.String("db", "", "crawl database: a data dir, or a stream file saved by an earlier release (required)")
 	topic := flag.String("topic", "", "restrict to a topic subtree, e.g. ROOT/databases")
 	exact := flag.Bool("exact", false, "require every query term (exact filtering)")
 	wcos := flag.Float64("wcos", 1, "cosine ranking weight")
@@ -36,6 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer st.Close()
 	query := ""
 	for i, a := range flag.Args() {
 		if i > 0 {

@@ -64,7 +64,7 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "", "path to a saved crawl database")
+	db := flag.String("db", "", "crawl database to serve: a data dir, or a stream file saved by an earlier release")
 	crawl := flag.Bool("crawl", false, "run a fresh synthetic-web crawl instead of loading -db")
 	worldFlag := flag.String("world", "small", "synthetic world size when -crawl is set")
 	listen := flag.String("listen", ":8090", "address to serve the portal on (use :0 for an ephemeral port)")

@@ -41,7 +41,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7001", "address to serve the shard RPC API on (use :0 for an ephemeral port)")
 	portFile := flag.String("port-file", "", "write the bound listen address to this file once serving (for harnesses)")
-	db := flag.String("db", "", "load an existing saved crawl database as this partition")
+	db := flag.String("db", "", "load an existing crawl database as this partition: a data dir, or a stream file saved by an earlier release")
 	dataDir := flag.String("data-dir", "", "root of the partition's disk-backed tiered store (segments + write-ahead log); empty runs in-memory")
 	storeShards := flag.Int("store-shards", 0, "local document sub-shards inside the partition (power of two, max 64; 0 = default 8)")
 	memtableBudget := flag.Int64("memtable-budget", 0, "tiered store: per-shard bytes of hot documents before a freeze (0 = default 64 MiB)")

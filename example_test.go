@@ -56,13 +56,15 @@ databases/mining	http://cs01.databases.example/~author0001/index.html
 }
 
 // ExampleEngine_SaveSession shows pausing a crawl overnight-style and
-// resuming it later with extra budget.
+// resuming it later with extra budget. The crawl database lives in the data
+// dir; the session file holds the training set, seeds and frontier.
 func ExampleEngine_SaveSession() {
 	world := bingo.GenerateWorld(bingo.TinyWorldConfig())
 	topics := []bingo.TopicSpec{{Path: []string{"databases"}, Seeds: world.SeedURLs()}}
 	engine, err := bingo.EngineForWorld(world, topics, func(c *bingo.Config) {
 		c.LearnBudget = 50
 		c.HarvestBudget = 50
+		c.DataDir = "/tmp/crawl"
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -70,14 +72,18 @@ func ExampleEngine_SaveSession() {
 	if _, _, err := engine.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	_ = engine.SaveSession("/tmp/session.bingo")
+	_ = engine.SaveSession("/tmp/crawl.session")
+	_ = engine.Close()
 
-	// ... next morning:
-	resumed, err := bingo.LoadSession(mustConfig(world, topics), "/tmp/session.bingo")
+	// ... next morning, in the same data dir:
+	cfg := mustConfig(world, topics)
+	cfg.DataDir = "/tmp/crawl"
+	resumed, err := bingo.LoadSession(cfg, "/tmp/crawl.session")
 	if err != nil {
 		log.Fatal(err)
 	}
 	_, _ = resumed.HarvestN(context.Background(), 200)
+	_ = resumed.Close()
 }
 
 func mustConfig(world *bingo.World, topics []bingo.TopicSpec) bingo.Config {

@@ -42,8 +42,6 @@ type Config struct {
 	// LockedDomains are excluded from crawling (search engines, DBLP
 	// mirrors in the §5.2 evaluation).
 	LockedDomains []string
-	// DisableRobots turns off robots.txt enforcement (enabled by default).
-	DisableRobots bool
 
 	// Workers is the crawler thread count (paper: 15).
 	Workers int
@@ -52,24 +50,6 @@ type Config struct {
 	MaxPerDomain int
 	// MaxRetries before a host is tagged bad (paper: 3).
 	MaxRetries int
-	// FetchAttempts is the per-URL retry budget: each Fetch makes up to this
-	// many attempts with capped, jittered backoff between them (default 3;
-	// 1 disables retries).
-	FetchAttempts int
-	// RetryBaseDelay / RetryMaxDelay bound one backoff sleep (defaults
-	// 100ms / 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a host's
-	// circuit breaker (default 5); BreakerOpenFor is the open window before
-	// the breaker half-opens for a probe (default 15s). Breaker-open hosts
-	// are requeued with delay by the crawler instead of burning workers.
-	BreakerThreshold int
-	BreakerOpenFor   time.Duration
-	// DisableDegradation turns off truncated-body degradation (on by
-	// default: a body cut mid-read on the final attempt is stored and
-	// classified with a confidence penalty instead of dropped).
-	DisableDegradation bool
 	// DNSMiddleware, when non-nil, wraps each name server as it is built
 	// (index 0 = primary). The chaos harness uses it to splice the fault
 	// plane into the DNS simulation.
@@ -97,9 +77,6 @@ type Config struct {
 	// BatchSize is the per-worker workspace bulk-load batch (§4.1;
 	// default 32 rows).
 	BatchSize int
-	// FlushInterval bounds how long a crawl worker may hold a partially
-	// filled workspace before flushing it (default 200ms).
-	FlushInterval time.Duration
 	// StoreShards is the number of document partitions in the crawl
 	// database (default 8, rounded down to a power of two, max 64).
 	// Workers flush to the shards their documents route to, and search
@@ -195,15 +172,6 @@ func (c Config) WithDefaults() Config {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}
-	if c.FetchAttempts <= 0 {
-		c.FetchAttempts = 3
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 15 * time.Second
-	}
 	if c.MaxTunnelDepth == 0 {
 		c.MaxTunnelDepth = 2
 	}
@@ -218,9 +186,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 200 * time.Millisecond
 	}
 	if c.StoreShards <= 0 {
 		c.StoreShards = 8

@@ -46,11 +46,9 @@ type Engine struct {
 
 	// searchMu guards the cached search engine. Caching it (instead of
 	// constructing one per Search() call) preserves the search snapshot
-	// and its epoch-keyed caches across queries; the cache is rebuilt when
-	// session restore swaps the underlying store.
-	searchMu    sync.Mutex
-	searchEng   *search.Engine
-	searchStore *store.Store
+	// across queries.
+	searchMu  sync.Mutex
+	searchEng *search.Engine
 
 	// Tenant registry. def is the implicit default tenant (id ""), always
 	// present and also reachable through the map.
@@ -70,7 +68,11 @@ type Engine struct {
 
 // New builds an engine from cfg. The default tenant's topic tree is derived
 // from cfg.Topics; Bootstrap must be called before crawling.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
+
+// newEngine builds an engine over st, or over the store cfg describes
+// (the tiered store in cfg.DataDir, else an in-memory one) when st is nil.
+func newEngine(cfg Config, st *store.Store) (*Engine, error) {
 	cfg = cfg.WithDefaults()
 
 	var servers []dns.Server
@@ -94,8 +96,9 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	var st *store.Store
-	if cfg.DataDir != "" {
+	switch {
+	case st != nil:
+	case cfg.DataDir != "":
 		var err error
 		st, err = store.OpenTiered(cfg.DataDir, cfg.StoreShards, store.TierOptions{
 			MemtableBudget: cfg.MemtableBudget,
@@ -105,7 +108,7 @@ func New(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: open data dir %s: %w", cfg.DataDir, err)
 		}
-	} else {
+	default:
 		st = store.NewSharded(cfg.StoreShards)
 	}
 
@@ -113,9 +116,12 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		store:    st,
 		resolver: resolver,
+		// 5 consecutive failures open a host's breaker for 15s; the
+		// crawler requeues breaker-open hosts with delay instead of
+		// burning workers on them.
 		breakers: fetch.NewBreakerSet(fetch.BreakerConfig{
-			FailureThreshold: cfg.BreakerThreshold,
-			OpenFor:          cfg.BreakerOpenFor,
+			FailureThreshold: 5,
+			OpenFor:          15 * time.Second,
 		}),
 		hosts:   fetch.NewHostTracker(cfg.MaxRetries),
 		pipe:    textproc.NewPipeline(),
@@ -223,15 +229,13 @@ func (e *Engine) Retrain() error { return e.def.Retrain() }
 
 // Search returns the local search engine over the shared crawl database
 // (§3.6). The engine is cached so repeated queries reuse the search
-// snapshot and the idf/authority caches instead of rebuilding them per
-// call. Tenant isolation happens per query: set search.Query.Tenant to
-// scope results to one portal.
+// snapshot instead of rebuilding it per call. Tenant isolation happens
+// per query: set search.Query.Tenant to scope results to one portal.
 func (e *Engine) Search() *search.Engine {
 	e.searchMu.Lock()
 	defer e.searchMu.Unlock()
-	if e.searchEng == nil || e.searchStore != e.store {
+	if e.searchEng == nil {
 		e.searchEng = search.New(e.store)
-		e.searchStore = e.store
 	}
 	return e.searchEng
 }

@@ -53,7 +53,6 @@ func (t *Tenant) Learn(ctx context.Context) (crawler.Stats, error) {
 		MaxPerDomain:   e.cfg.MaxPerDomain,
 		PerHostDelay:   e.cfg.PerHostDelay,
 		BatchSize:      e.cfg.BatchSize,
-		FlushInterval:  e.cfg.FlushInterval,
 		MaxDepth:       e.cfg.LearnDepth,
 		MaxTunnelDepth: e.cfg.MaxTunnelDepth,
 		PageBudget:     e.cfg.LearnBudget,
@@ -132,7 +131,6 @@ func (t *Tenant) HarvestN(ctx context.Context, budget int64) (crawler.Stats, err
 		MaxPerDomain:   e.cfg.MaxPerDomain,
 		PerHostDelay:   e.cfg.PerHostDelay,
 		BatchSize:      e.cfg.BatchSize,
-		FlushInterval:  e.cfg.FlushInterval,
 		MaxTunnelDepth: e.cfg.MaxTunnelDepth,
 		PageBudget:     budget,
 		Focus:          crawler.SoftFocus,

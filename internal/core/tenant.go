@@ -150,15 +150,19 @@ func newTenant(e *Engine, id string, topics []TopicSpec, othersURLs []string) (*
 		Transport: cfg.Transport,
 		Resolver:  e.resolver,
 		Timeout:   cfg.FetchTimeout,
+		// Up to 3 attempts per URL with capped, jittered backoff between
+		// them.
 		Retry: fetch.RetryPolicy{
-			MaxAttempts: cfg.FetchAttempts,
-			BaseDelay:   cfg.RetryBaseDelay,
-			MaxDelay:    cfg.RetryMaxDelay,
+			MaxAttempts: 3,
+			BaseDelay:   100 * time.Millisecond,
+			MaxDelay:    2 * time.Second,
 		},
-		Breaker:          e.breakers,
-		DegradeTruncated: !cfg.DisableDegradation,
+		Breaker: e.breakers,
+		// A body cut mid-read on the final attempt is stored and classified
+		// with a confidence penalty instead of dropped.
+		DegradeTruncated: true,
 		LockedDomains:    cfg.LockedDomains,
-		RespectRobots:    !cfg.DisableRobots,
+		RespectRobots:    true,
 	}, fetch.NewDeduper(), e.hosts)
 	spillDir := ""
 	if cfg.FrontierBudget > 0 && cfg.DataDir != "" {

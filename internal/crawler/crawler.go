@@ -118,10 +118,6 @@ type Config struct {
 	// buffers this many rows (documents + links + redirects) before moving
 	// them into the store in one bulk load (§4.1).
 	BatchSize int
-	// FlushInterval bounds how long a worker may sit on a partially filled
-	// workspace (default 200ms), so observers of the store see crawl
-	// progress even when batches fill slowly.
-	FlushInterval time.Duration
 	// PerHostDelay enforces a minimum interval between consecutive requests
 	// to one host (0 = disabled; crawl-delay style politeness).
 	PerHostDelay time.Duration
@@ -129,11 +125,18 @@ type Config struct {
 	// after a circuit-breaker rejection before it is dropped as an error
 	// (default 8; guarantees progress under a persistent breaker storm).
 	MaxRequeues int
-	// DegradedConfidenceFactor scales the classifier confidence of a page
-	// served from a truncated body (graceful degradation: the prefix is
-	// still classified, but with reduced trust). Default 0.5.
-	DegradedConfidenceFactor float64
 }
+
+const (
+	// flushInterval bounds how long a worker may sit on a partially filled
+	// workspace, so observers of the store see crawl progress even when
+	// batches fill slowly.
+	flushInterval = 200 * time.Millisecond
+	// degradedConfidenceFactor scales the classifier confidence of a page
+	// served from a truncated body: the prefix is still classified, but
+	// with reduced trust.
+	degradedConfidenceFactor = 0.5
+)
 
 // Stats are the counters reported in the paper's Table 1.
 type Stats struct {
@@ -187,14 +190,8 @@ func New(cfg Config) *Crawler {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 200 * time.Millisecond
-	}
 	if cfg.MaxRequeues <= 0 {
 		cfg.MaxRequeues = 8
-	}
-	if cfg.DegradedConfidenceFactor <= 0 || cfg.DegradedConfidenceFactor > 1 {
-		cfg.DegradedConfidenceFactor = 0.5
 	}
 	return &Crawler{cfg: cfg, pipe: textproc.NewPipeline()}
 }
@@ -274,7 +271,7 @@ func (c *Crawler) worker(ctx context.Context, cancel context.CancelFunc, limiter
 		c.process(ctx, it, limiter, ws)
 		mBusyNanos.Add(time.Since(busyStart).Nanoseconds())
 		c.cfg.Frontier.Done()
-		if now := time.Now(); ws.Buffered() > 0 && now.Sub(lastFlush) >= c.cfg.FlushInterval {
+		if now := time.Now(); ws.Buffered() > 0 && now.Sub(lastFlush) >= flushInterval {
 			ws.Flush()
 			lastFlush = now
 		}
@@ -404,7 +401,7 @@ func (c *Crawler) process(ctx context.Context, it frontier.Item, limiter *hostLi
 		// so the classification ran on a prefix — keep the page but scale
 		// its confidence down so ranking and archetype selection trust it
 		// less.
-		result.Confidence *= c.cfg.DegradedConfidenceFactor
+		result.Confidence *= degradedConfidenceFactor
 		c.degraded.Add(1)
 		mDegraded.Inc()
 	}

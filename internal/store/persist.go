@@ -7,36 +7,28 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 )
 
-// Persistence format. Streams written by this release start with a magic
-// and a one-byte format version, so a reader can tell a stream's layout
-// apart from its content and fail with a clear error instead of letting
-// gob mis-decode an incompatible snapshot deep inside the decoder.
-// Streams without the magic are the version-0 layout (a bare gob of the
-// unsharded snapshot struct), still read for one release.
+// Legacy stream reader. Releases before the data dir became the only
+// on-disk format saved the store as a gob stream; this release no longer
+// writes one, but still reads every version so old crawl databases and
+// session files keep loading. Streams start with a magic and a one-byte
+// format version; streams without the magic are the version-0 layout (a
+// bare gob of the unsharded snapshot struct).
 //
-// Version 2 frames the snapshot per shard: a header frame carrying the
-// shard layout, then one length-prefixed gob frame per shard holding that
-// shard's documents, link rows and redirects. Because every frame is
-// shard-local (a shard's frame carries both its out-link and its in-link
-// rows, so no cross-shard routing is needed on read), Decode gob-decodes
-// and ingests all P frames in parallel — index rebuild, the dominant
-// load-time cost, spreads across cores.
-//
-// Version 3 keeps version 2's framing and adds the document Tenant field
-// (gob carries it transparently; a version-3 stream holding only
-// default-tenant documents is byte-identical to version 2 except for the
-// version byte). The bump exists so a pre-tenancy reader fails with a
-// clear "unsupported version" error instead of silently dropping tenant
-// tags. Versions 0-2 are still read and load as the default tenant.
+// Version 1 is a single gob of every row plus the shard layout. Version 2
+// frames the snapshot per shard: a header frame carrying the shard layout,
+// then one length-prefixed gob frame per shard holding that shard's
+// documents, link rows and redirects. Every frame is shard-local (it
+// carries both the shard's out-link and in-link rows), so Decode ingests
+// all P frames in parallel. Version 3 keeps version 2's framing and adds
+// the document Tenant field; versions 0-2 load as the default tenant.
 var storeMagic = [4]byte{'B', 'N', 'G', 'O'}
 
-// formatVersion is the store stream layout this release writes.
-const formatVersion = 3
+// maxStreamVersion is the newest stream layout this release reads.
+const maxStreamVersion = 3
 
 // snapshotV0 is the historical version-0 serialized form (one global
 // DocID sequence, no shard layout).
@@ -77,129 +69,24 @@ type shardFrameV2 struct {
 	Redirects []Redirect
 }
 
-// maxFrameBytes caps a single shard frame at what the u32 length prefix
-// can represent; writeFrame rejects anything larger rather than silently
-// truncating the prefix and corrupting the stream.
-const maxFrameBytes = math.MaxUint32
-
-func writeFrame(w io.Writer, b []byte) error {
-	if int64(len(b)) > maxFrameBytes {
-		return fmt.Errorf("frame of %d bytes exceeds the %d-byte u32 length prefix limit", len(b), int64(maxFrameBytes))
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
 func readFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := int64(binary.LittleEndian.Uint32(lenBuf[:]))
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
-	}
-	b := make([]byte, n)
+	b := make([]byte, binary.LittleEndian.Uint32(lenBuf[:]))
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// Encode serializes the store to w: magic, format version, a header frame
-// with the shard layout, then one gob frame per shard. Shard frames are
-// gob-encoded concurrently (one goroutine per shard) and written in shard
-// order. Cold documents in a tiered store are hydrated from their
-// segments, so the snapshot is complete and self-contained. The inverted
-// index and topic index are rebuilt on read rather than serialized.
-func (s *Store) Encode(w io.Writer) error {
-	return s.encodeFramed(w, formatVersion)
-}
-
-// encodeFramed writes the framed per-shard layout with the given version
-// byte. The current writer always emits formatVersion; tests use it to
-// produce legacy version-2 streams (identical framing, pre-tenancy version
-// byte) and check they still load.
-func (s *Store) encodeFramed(w io.Writer, version byte) error {
-	hdr := headerV2{
-		ShardCount: len(s.shards),
-		NextSeqs:   make([]int64, len(s.shards)),
-	}
-	frames := make([][]byte, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		sh.docMu.RLock()
-		hdr.NextSeqs[i] = sh.nextSeq
-		var frame shardFrameV2
-		frame.Docs = make([]Document, 0, len(sh.docs))
-		for _, d := range sh.docs {
-			if sh.tier != nil {
-				frame.Docs = append(frame.Docs, sh.hydrateLocked(d))
-			} else {
-				frame.Docs = append(frame.Docs, *d)
-			}
-		}
-		sh.docMu.RUnlock()
-		sh.linkMu.RLock()
-		for _, ls := range sh.outLinks {
-			frame.OutLinks = append(frame.OutLinks, ls...)
-		}
-		for _, ls := range sh.inLinks {
-			frame.InLinks = append(frame.InLinks, ls...)
-		}
-		sh.linkMu.RUnlock()
-		sh.redirMu.RLock()
-		frame.Redirects = append(frame.Redirects, sh.redirects...)
-		sh.redirMu.RUnlock()
-		wg.Add(1)
-		go func(i int, frame shardFrameV2) {
-			defer wg.Done()
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&frame); err != nil {
-				errs[i] = err
-				return
-			}
-			frames[i] = buf.Bytes()
-		}(i, frame)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("store: encode: %w", err)
-		}
-	}
-	if _, err := w.Write(storeMagic[:]); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if _, err := w.Write([]byte{version}); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	var hdrBuf bytes.Buffer
-	if err := gob.NewEncoder(&hdrBuf).Encode(&hdr); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	if err := writeFrame(w, hdrBuf.Bytes()); err != nil {
-		return fmt.Errorf("store: encode: %w", err)
-	}
-	for _, frame := range frames {
-		if err := writeFrame(w, frame); err != nil {
-			return fmt.Errorf("store: encode: %w", err)
-		}
-	}
-	return nil
-}
-
-// Decode deserializes a store previously written by Encode. Version-2
-// streams decode their shard frames in parallel; version-1 streams restore
-// the saved shard layout; streams without the version header are decoded
-// as the version-0 (unsharded) layout into a single-shard store with their
-// DocIDs preserved. An unknown version is a clear error, not a gob panic.
+// Decode deserializes a legacy store stream into an in-memory store.
+// Version-2 and -3 streams decode their shard frames in parallel; version-1
+// streams restore the saved shard layout; streams without the version
+// header are decoded as the version-0 (unsharded) layout into a
+// single-shard store with their DocIDs preserved. An unknown version is a
+// clear error, not a gob panic.
 func Decode(r io.Reader) (*Store, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -222,7 +109,7 @@ func Decode(r io.Reader) (*Store, error) {
 		// simply decode with Tenant == "" (the default tenant).
 		return decodeFramed(br)
 	default:
-		return nil, fmt.Errorf("store: decode: unsupported format version %d (this release reads versions 0-%d)", version, formatVersion)
+		return nil, fmt.Errorf("store: decode: unsupported format version %d (this release reads versions 0-%d)", version, maxStreamVersion)
 	}
 }
 
@@ -386,38 +273,22 @@ func loadRows(s *Store, links []Link, redirects []Redirect) {
 	}
 }
 
-// Save writes the store to path atomically (write to a temp file, then
-// rename).
-func (s *Store) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	if err := s.Encode(w); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: rename: %w", err)
-	}
-	return nil
-}
-
-// Load reads a store previously written by Save.
+// Load opens a saved crawl database. A directory is a tiered data dir
+// (segments + WAL, the only format this release writes) and is opened with
+// OpenTiered in its pinned shard layout; the caller must Close the store. A
+// file is a gob stream of versions 0-3 written by earlier releases and is
+// decoded into memory.
 func Load(path string) (*Store, error) {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
+		p, ok, err := pinnedShards(path)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("store: load: %s is not a data dir (no TIER.json)", path)
+		}
+		return OpenTiered(path, p, TierOptions{})
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: load: %w", err)

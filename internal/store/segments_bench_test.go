@@ -12,9 +12,9 @@ import (
 )
 
 // The tiered-storage benchmark: how much corpus fits in a fixed amount of
-// heap once document payloads live in compressed segments, how fast a cold
-// start is compared to gob-decoding the whole database, and what write
-// amplification the WAL + freeze + compaction pipeline costs. Opt-in via
+// heap once document payloads live in compressed segments, how long a cold
+// start over the segments takes, and what write amplification the WAL +
+// freeze + compaction pipeline costs. Opt-in via
 // BENCH_JSON=<path> (the Makefile `bench-segments` target sets it); the
 // equivalence gate at the end runs the full read-API comparison between the
 // tiered and the in-memory store over the same corpus.
@@ -132,9 +132,8 @@ func BenchmarkTieredColdStart(b *testing.B) {
 
 // TestWriteSegmentsBenchJSON records the tiered-storage evidence in a JSON
 // file: heap per document for the in-memory vs the segment-backed store
-// (the "corpus bigger than RAM" headline), cold-start latency vs gob
-// decode, write amplification, compression ratio, and the equivalence
-// gate.
+// (the "corpus bigger than RAM" headline), cold-start latency, write
+// amplification, compression ratio, and the equivalence gate.
 func TestWriteSegmentsBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
@@ -211,27 +210,14 @@ func TestWriteSegmentsBenchJSON(t *testing.T) {
 	// store before any timing number is worth reporting. ---
 	requireStoresEqual(t, "bench-equivalence", tiered, mem)
 
-	// --- Cold start: gob decode vs segment open, interleaved rounds ---
-	gobPath := filepath.Join(t.TempDir(), "bench.gob")
-	if err := mem.Save(gobPath); err != nil {
-		t.Fatal(err)
-	}
+	// --- Cold start: reopen the segments ---
 	if err := tiered.Close(); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 5
-	var gobNanos, tierNanos []float64
+	var tierNanos []float64
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
-		g, err := Load(gobPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gobNanos = append(gobNanos, float64(time.Since(start)))
-		if g.NumDocs() != nDocs {
-			t.Fatalf("gob load got %d docs", g.NumDocs())
-		}
-		start = time.Now()
 		re, err := OpenTiered(dir, shards, TierOptions{DisableCompaction: true})
 		if err != nil {
 			t.Fatal(err)
@@ -244,11 +230,9 @@ func TestWriteSegmentsBenchJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gobMedian := medianOf(gobNanos)
 	tierMedian := medianOf(tierNanos)
 
 	corpusRatio := float64(memHeap) / float64(tieredHeap)
-	coldRatio := gobMedian / tierMedian
 	report := struct {
 		Benchmark        string  `json:"benchmark"`
 		Docs             int     `json:"docs"`
@@ -262,9 +246,7 @@ func TestWriteSegmentsBenchJSON(t *testing.T) {
 		WALBytes         int64   `json:"wal_bytes_written"`
 		SegBytesWritten  int64   `json:"segment_bytes_written"`
 		WriteAmp         float64 `json:"write_amplification"`
-		GobLoadMillis    float64 `json:"gob_cold_start_ms_median"`
 		TieredOpenMillis float64 `json:"tiered_cold_start_ms_median"`
-		ColdStartRatio   float64 `json:"cold_start_speedup"`
 		Equivalence      string  `json:"equivalence_gate"`
 	}{
 		Benchmark:        "in-memory store vs tiered segments: heap footprint, cold start, write amplification",
@@ -279,9 +261,7 @@ func TestWriteSegmentsBenchJSON(t *testing.T) {
 		WALBytes:         walWritten,
 		SegBytesWritten:  segWritten,
 		WriteAmp:         writeAmp,
-		GobLoadMillis:    gobMedian / 1e6,
 		TieredOpenMillis: tierMedian / 1e6,
-		ColdStartRatio:   coldRatio,
 		Equivalence:      "passed: all read APIs bit-identical to the in-memory store",
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -291,13 +271,10 @@ func TestWriteSegmentsBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("corpus/heap ratio %.1fx, cold start %.1fx faster (%.1fms vs %.1fms), write amplification %.2f, disk compression %.2fx -> %s",
-		corpusRatio, coldRatio, tierMedian/1e6, gobMedian/1e6, writeAmp, report.Compression, out)
+	t.Logf("corpus/heap ratio %.1fx, cold start %.1fms, write amplification %.2f, disk compression %.2fx -> %s",
+		corpusRatio, tierMedian/1e6, writeAmp, report.Compression, out)
 	if corpusRatio < 4 {
 		t.Errorf("tiered heap holds only %.1fx the corpus of the in-memory store, below the 4x target", corpusRatio)
-	}
-	if coldRatio < 5 {
-		t.Errorf("tiered cold start only %.1fx faster than gob decode, below the 5x target", coldRatio)
 	}
 	runtime.KeepAlive(mem)
 }

@@ -204,23 +204,13 @@ func TestShardedWorkspaceFlush(t *testing.T) {
 	}
 }
 
-// TestPersistV1RoundTrip: encode/decode preserves the shard layout, IDs,
-// rows, and keeps assigning fresh IDs afterwards.
+// TestPersistV1RoundTrip: decoding a framed stream preserves the shard
+// layout, IDs and rows, and keeps assigning fresh IDs afterwards.
 func TestPersistV1RoundTrip(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		s := NewSharded(p)
 		fillSharded(s, 150)
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(buf.Bytes(), append(storeMagic[:], formatVersion)) {
-			t.Fatalf("p=%d: stream missing version header", p)
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeFixture(t, fmt.Sprintf("v2-p%d.bngo", p), 2)
 		if got.NumShards() != p {
 			t.Fatalf("p=%d: reloaded shard count %d", p, got.NumShards())
 		}

@@ -5,8 +5,12 @@
 // were too slow, so crawler threads batch documents in workspaces and move
 // them with a bulk loader, sustaining up to ten thousand documents per
 // minute. This package reproduces that design as an embedded store: flat
-// in-memory relations (documents, postings, links, redirects), a
-// workspace/bulk-load write path, and binary persistence.
+// in-memory relations (documents, postings, links, redirects) and a
+// workspace/bulk-load write path. OpenTiered makes the store disk-backed:
+// writes go through a per-shard WAL and freeze into immutable segments
+// under a data dir (tier.go), the one on-disk format the store writes. Load
+// opens such a data dir, and still reads the gob streams older releases
+// saved (persist.go).
 //
 // The store is partitioned into P document shards (NewSharded). A document
 // belongs to the shard its URL hashes to, and its DocID encodes the shard
@@ -297,10 +301,7 @@ func (s *Store) Get(id DocID) (Document, error) {
 	if !ok {
 		return Document{}, ErrNotFound
 	}
-	if sh.tier != nil {
-		return sh.hydrateLocked(d), nil
-	}
-	return *d, nil
+	return sh.hydrateLocked(d), nil
 }
 
 // GetByURL returns the default-tenant document stored under url, hydrated
@@ -317,10 +318,7 @@ func (s *Store) GetDoc(tenant, url string) (Document, error) {
 	if !ok {
 		return Document{}, ErrNotFound
 	}
-	if sh.tier != nil {
-		return sh.hydrateLocked(sh.docs[id]), nil
-	}
-	return *sh.docs[id], nil
+	return sh.hydrateLocked(sh.docs[id]), nil
 }
 
 // Contains reports whether the default tenant stores url.
@@ -503,11 +501,7 @@ func (s *Store) ByTopic(topic string) []Document {
 		sh.docMu.RLock()
 		ids := sh.byTopic[topic]
 		for _, id := range ids {
-			if sh.tier != nil {
-				out = append(out, sh.hydrateLocked(sh.docs[id]))
-			} else {
-				out = append(out, *sh.docs[id])
-			}
+			out = append(out, sh.hydrateLocked(sh.docs[id]))
 		}
 		sh.docMu.RUnlock()
 	}
@@ -561,11 +555,7 @@ func (s *Store) All() []Document {
 	for _, sh := range s.shards {
 		sh.docMu.RLock()
 		for _, d := range sh.docs {
-			if sh.tier != nil {
-				out = append(out, sh.hydrateLocked(d))
-			} else {
-				out = append(out, *d)
-			}
+			out = append(out, sh.hydrateLocked(d))
 		}
 		sh.docMu.RUnlock()
 	}
@@ -582,13 +572,7 @@ func (s *Store) VisitDocs(fn func(Document) bool) {
 	for _, sh := range s.shards {
 		sh.docMu.RLock()
 		for _, d := range sh.docs {
-			var row Document
-			if sh.tier != nil {
-				row = sh.hydrateLocked(d)
-			} else {
-				row = *d
-			}
-			if !fn(row) {
+			if !fn(sh.hydrateLocked(d)) {
 				sh.docMu.RUnlock()
 				return
 			}

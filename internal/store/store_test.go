@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -171,22 +172,28 @@ func TestWorkspaceBatching(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: a store written through a data dir and reopened
+// with Load (the path every -db flag takes) restores rows, flags, the
+// index and the relations, and keeps assigning fresh IDs.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "crawl.db")
-	s := New()
+	s, err := OpenTiered(dir, 1, TierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Insert(doc("u1", "db", 0.9, map[string]int{"databas": 2}))
 	s.Insert(doc("u2", "db/OTHERS", 0.1, map[string]int{"sport": 1}))
 	s.AddLink(Link{From: "u1", To: "u2", Anchor: "x"})
 	s.AddRedirect(Redirect{From: "a", To: "b"})
 	s.SetTraining("u1", true)
-	if err := s.Save(path); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(path)
+	s2, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	if s2.NumDocs() != 2 {
 		t.Fatalf("NumDocs = %d", s2.NumDocs())
 	}
@@ -213,6 +220,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadErrors(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.db")); err == nil {
 		t.Error("missing file loaded")
+	}
+	// A directory without a pinned layout is not a data dir, and Load must
+	// not turn it into one.
+	dir := t.TempDir()
+	if _, err := Load(dir); err == nil {
+		t.Error("plain directory loaded as a data dir")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("Load wrote %d entries into a plain directory", len(ents))
 	}
 }
 

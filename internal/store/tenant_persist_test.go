@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -25,24 +27,34 @@ func fillTenants(s *Store, n int) {
 	}
 }
 
-// TestPersistV3TenantRoundTrip: tenant-tagged frames survive encode/decode —
-// per-tenant counts, per-tenant lookups and the shared-URL rows all land
-// back on the right shards.
+// decodeFixture decodes testdata/name, a legacy stream written by the last
+// release that still had a stream writer (Store.Encode), after checking
+// the stream's magic and version byte.
+func decodeFixture(t *testing.T, name string, version byte) *Store {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, append(storeMagic[:], version)) {
+		t.Fatalf("%s: stream missing v%d header", name, version)
+	}
+	s, err := Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return s
+}
+
+// TestPersistV3TenantRoundTrip: tenant-tagged v3 frames decode back onto
+// the right shards — per-tenant counts, per-tenant lookups and the
+// shared-URL rows all match the store the fixture was written from
+// (testdata/v3-p*.bngo hold fillTenants(NewSharded(p), 90)).
 func TestPersistV3TenantRoundTrip(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		s := NewSharded(p)
 		fillTenants(s, 90)
-		var buf bytes.Buffer
-		if err := s.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(buf.Bytes(), append(storeMagic[:], formatVersion)) {
-			t.Fatalf("p=%d: stream missing v%d header", p, formatVersion)
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := decodeFixture(t, fmt.Sprintf("v3-p%d.bngo", p), 3)
 		if got.NumDocs() != s.NumDocs() {
 			t.Fatalf("p=%d: doc count %d vs %d", p, got.NumDocs(), s.NumDocs())
 		}
@@ -64,70 +76,35 @@ func TestPersistV3TenantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistV2StreamLoadsAsDefaultTenant: a legacy v2 stream — written by a
-// pre-tenancy release — decodes with every row on the default tenant and
-// identical doc counts.
+// TestPersistV2StreamLoadsAsDefaultTenant: a legacy v2 stream — the
+// pre-tenancy layout, rows without the Tenant field — decodes with every
+// row on the default tenant and identical doc counts (testdata/v2-p*.bngo
+// hold fillSharded(NewSharded(p), 150)).
 func TestPersistV2StreamLoadsAsDefaultTenant(t *testing.T) {
-	s := NewSharded(4)
-	fillSharded(s, 120)
-	var buf bytes.Buffer
-	// Emit exactly what the pre-tenancy release wrote: same framing, version
-	// byte 2, rows without the Tenant field (gob omits the zero value).
-	if err := s.encodeFramed(&buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumDocs() != s.NumDocs() {
-		t.Fatalf("doc count %d vs %d", got.NumDocs(), s.NumDocs())
-	}
-	if got.TenantNumDocs("") != got.NumDocs() {
-		t.Fatalf("v2 rows not all on the default tenant: %d of %d",
-			got.TenantNumDocs(""), got.NumDocs())
-	}
-	got.VisitDocs(func(d Document) bool {
-		if d.Tenant != "" {
-			t.Fatalf("v2 row %s decoded with tenant %q", d.URL, d.Tenant)
+	for _, p := range []int{1, 4} {
+		s := NewSharded(p)
+		fillSharded(s, 150)
+		got := decodeFixture(t, fmt.Sprintf("v2-p%d.bngo", p), 2)
+		if got.NumDocs() != s.NumDocs() {
+			t.Fatalf("p=%d: doc count %d vs %d", p, got.NumDocs(), s.NumDocs())
 		}
-		return true
-	})
-	// Legacy URL-keyed lookups still resolve every row.
-	for _, d := range s.All() {
-		rd, err := got.GetByURL(d.URL)
-		if err != nil || rd.ID != d.ID {
-			t.Fatalf("GetByURL(%s) = %+v, %v", d.URL, rd, err)
+		if got.TenantNumDocs("") != got.NumDocs() {
+			t.Fatalf("p=%d: v2 rows not all on the default tenant: %d of %d",
+				p, got.TenantNumDocs(""), got.NumDocs())
 		}
-	}
-}
-
-// TestPersistV3DefaultTenantBytesMatchV2: for default-tenant rows, the v3
-// stream is byte-identical to the v2 stream except for the version byte —
-// gob omits the zero-value Tenant field, so the single-tenant on-disk
-// format did not change. (One doc per shard: encode order within a shard
-// follows map iteration, so only singleton shards are byte-deterministic.)
-func TestPersistV3DefaultTenantBytesMatchV2(t *testing.T) {
-	s := NewSharded(1)
-	s.Insert(tenantDoc("", "http://one.example/doc", map[string]int{"only": 1}))
-	var v2, v3 bytes.Buffer
-	if err := s.encodeFramed(&v2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Encode(&v3); err != nil {
-		t.Fatal(err)
-	}
-	b2, b3 := v2.Bytes(), v3.Bytes()
-	if len(b2) != len(b3) {
-		t.Fatalf("stream lengths differ: v2=%d v3=%d", len(b2), len(b3))
-	}
-	verIdx := len(storeMagic)
-	if b2[verIdx] != 2 || b3[verIdx] != 3 {
-		t.Fatalf("version bytes = %d, %d", b2[verIdx], b3[verIdx])
-	}
-	b2[verIdx], b3[verIdx] = 0, 0
-	if !bytes.Equal(b2, b3) {
-		t.Fatal("default-tenant v3 stream differs from v2 beyond the version byte")
+		got.VisitDocs(func(d Document) bool {
+			if d.Tenant != "" {
+				t.Fatalf("p=%d: v2 row %s decoded with tenant %q", p, d.URL, d.Tenant)
+			}
+			return true
+		})
+		// Legacy URL-keyed lookups still resolve every row.
+		for _, d := range s.All() {
+			rd, err := got.GetByURL(d.URL)
+			if err != nil || rd.ID != d.ID {
+				t.Fatalf("p=%d: GetByURL(%s) = %+v, %v", p, d.URL, rd, err)
+			}
+		}
 	}
 }
 

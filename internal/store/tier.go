@@ -893,8 +893,9 @@ type frozenDoc struct {
 // FreezeShard freezes shard i's hot documents, links and redirects into a
 // new immutable segment, slims the rows, moves their postings to the
 // segment, rotates the WAL and commits the manifest. It is a no-op when
-// the shard has nothing hot. Exported for tests and benchmarks; the write
-// path calls it automatically via the memtable budget.
+// the shard has nothing hot. The write path calls it automatically via the
+// memtable budget; core.Engine.SaveSession calls it on every shard to make
+// the store durable before writing session state.
 func (s *Store) FreezeShard(i int) error {
 	sh := s.shards[i]
 	t := sh.tier
@@ -1395,8 +1396,9 @@ func (s *Store) mergeSegments(sh *storeShard, inputs []*tierSeg) error {
 // ---------------------------------------------------------------------------
 // Cold reads
 
-// hydrateLocked fills a copy of row d with its cold payload. Caller holds
-// sh.docMu (read or write).
+// hydrateLocked fills a copy of row d with its cold payload; a hot row (and
+// every row of an untiered shard, whose cold map is nil) is a plain copy.
+// Caller holds sh.docMu (read or write).
 func (sh *storeShard) hydrateLocked(d *Document) Document {
 	cp := *d
 	ref, ok := sh.cold[d.ID]

@@ -678,24 +678,34 @@ func TestTieredAutoFreeze(t *testing.T) {
 	}
 }
 
-// TestTieredPersistEncode: gob Save/Load of a tiered store hydrates cold
-// documents — the snapshot is complete without the segment files.
-func TestTieredPersistEncode(t *testing.T) {
+// TestLoadDataDir: Load on a data dir adopts its pinned shard layout and
+// returns exactly what OpenTiered(dir, 0, …) does, frozen (cold) and
+// WAL-only (hot) rows alike.
+func TestLoadDataDir(t *testing.T) {
+	ref := NewSharded(2)
+	fillTier(t, ref, 3, 150)
 	dir := t.TempDir()
 	s := openTiered(t, dir, 2, testTierOpts())
-	fillTier(t, s, 15, 60)
+	fillTierRange(t, s, 3, 0, 100)
 	freezeAll(t, s)
-	fillTierRange(t, s, 15, 60, 80)
-	path := filepath.Join(t.TempDir(), "snap.bin")
-	if err := s.Save(path); err != nil {
+	fillTierRange(t, s, 3, 100, 150)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireStoresEqual(t, "gob-of-tiered", loaded, s)
-	s.Close()
+	if !loaded.Tiered() || loaded.NumShards() != 2 {
+		t.Fatalf("Load(dir): tiered=%v shards=%d, want a tiered store with the pinned 2 shards", loaded.Tiered(), loaded.NumShards())
+	}
+	requireStoresEqual(t, "load-dir", loaded, ref)
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openTiered(t, dir, 0, TierOptions{})
+	requireStoresEqual(t, "open-tiered-adopt", re, ref)
+	re.Close()
 }
 
 // TestTieredConcurrentChurn: writers, freezes, compactions and readers

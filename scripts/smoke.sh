@@ -7,7 +7,9 @@
 # Second leg: durability. Start a tiered (-data-dir) crawl with WAL sync
 # on, kill -9 the process mid-crawl once some documents are acknowledged
 # durable, restart over the same data directory, and require that every
-# acknowledged document survived the crash.
+# acknowledged document survived the crash. Then open the recovered data
+# directory with bingosearch -db (the load-a-data-dir path) and require it
+# to see at least the recovered documents.
 #
 # Run via `make smoke`; CI runs it on every push.
 set -eu
@@ -22,9 +24,10 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "smoke: building portald + loadgen"
+echo "smoke: building portald + loadgen + bingosearch"
 go build -o "$tmp/portald" ./cmd/portald
 go build -o "$tmp/loadgen" ./cmd/loadgen
+go build -o "$tmp/bingosearch" ./cmd/bingosearch
 
 echo "smoke: starting portald (tiny world crawl, ephemeral port)"
 "$tmp/portald" -crawl -world tiny -listen 127.0.0.1:0 -port-file "$tmp/port" \
@@ -146,4 +149,18 @@ if [ "$rc" -ne 0 ]; then
     cat "$tmp/recover.log" >&2
     exit 1
 fi
+
+echo "smoke: querying the recovered data directory with bingosearch -db"
+if ! "$tmp/bingosearch" -db "$datadir" -n 3 database recovery >"$tmp/search.log" 2>&1; then
+    echo "smoke: bingosearch -db failed on the data directory; output follows" >&2
+    cat "$tmp/search.log" >&2
+    exit 1
+fi
+found="$(sed -n 's/^database: \([0-9][0-9]*\) documents.*/\1/p' "$tmp/search.log" | head -1)"
+if [ -z "$found" ] || [ "$found" -lt "$recovered" ]; then
+    echo "smoke: bingosearch -db saw ${found:-0} documents, the recovery portald served $recovered; output follows" >&2
+    cat "$tmp/search.log" >&2
+    exit 1
+fi
+echo "smoke: bingosearch -db read $found docs from the data directory (>= $recovered recovered)"
 echo "smoke: OK"
