@@ -26,7 +26,10 @@
 // statistics for exact idf, and answers degraded partial results when a
 // shard is down. In coordinator mode /search is JSON-only (no HTML
 // portal), and -crawl mirrors the staging crawl into the shard servers
-// through the ingest router. See DESIGN.md "Distributed scatter-gather".
+// through the ingest router. Flags that configure only a single-process
+// portal (result cache, admission control, local store, crawl policy,
+// tenants) are refused with -shards rather than ignored. See DESIGN.md
+// "Distributed scatter-gather".
 //
 // Usage:
 //
@@ -95,6 +98,10 @@ func main() {
 	flag.Parse()
 
 	if *shards != "" {
+		if ignored := coordinatorIgnoredFlags(flag.CommandLine); len(ignored) > 0 {
+			log.Fatalf("portald: -shards runs the query coordinator, which does not use these flags: -%s",
+				strings.Join(ignored, ", -"))
+		}
 		runCoordinator(coordinatorConfig{
 			addrs:         splitAddrs(*shards),
 			listen:        *listen,
@@ -402,6 +409,31 @@ func splitAddrs(s string) []string {
 	for _, a := range strings.Split(s, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// coordinatorOnlyLocal names the flags that configure what only a
+// single-process portal has — its result cache, admission control, local
+// store and local crawl policy — and that coordinator mode would otherwise
+// accept and silently drop.
+var coordinatorOnlyLocal = []string{
+	"cache-entries", "max-inflight", "tenant-max-inflight", "max-queue",
+	"queue-timeout", "retry-after", "db", "data-dir", "memtable-budget",
+	"compact-fanout", "wal-sync", "scheduler", "frontier-budget", "tenant",
+	"retrain-interval",
+}
+
+// coordinatorIgnoredFlags returns the coordinatorOnlyLocal flags set
+// explicitly on fs, in coordinatorOnlyLocal order.
+func coordinatorIgnoredFlags(fs *flag.FlagSet) []string {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var out []string
+	for _, name := range coordinatorOnlyLocal {
+		if set[name] {
+			out = append(out, name)
 		}
 	}
 	return out

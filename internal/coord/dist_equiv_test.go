@@ -2,9 +2,11 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -105,6 +107,15 @@ func buildDistCorpus(seed int64, nDocs int, serverCounts []int) (*store.Store, m
 		for s, parts := range fleets {
 			insert(parts[store.RouteURL(d.URL, s)])
 		}
+		if i%4 == 0 {
+			// A named tenant's copy of the page: same URL, its own row.
+			d.Tenant = "beta"
+			d.Confidence = 1 - d.Confidence
+			insert(single)
+			for s, parts := range fleets {
+				insert(parts[store.RouteURL(d.URL, s)])
+			}
+		}
 	}
 	nLinks := nDocs * 2
 	for i := 0; i < nLinks; i++ {
@@ -130,6 +141,7 @@ func distQueries() []search.Query {
 		{Text: "recovery", Weights: search.Weights{Cosine: 0.5, Confidence: 0.5}},
 		{Text: "transaction log", Weights: search.Weights{Cosine: 0.4, Confidence: 0.3, Authority: 0.3}},
 		{Text: `"recovery transaction" database`},
+		{Text: "recovery transaction", Tenant: "beta", Weights: search.Weights{Cosine: 0.5, Confidence: 0.3, Authority: 0.2}},
 	}
 }
 
@@ -146,9 +158,9 @@ func sameAsLocal(t *testing.T, label string, want []search.Hit, got []rpc.Hit) {
 		if w.Doc.URL != g.URL {
 			t.Fatalf("%s: hit %d is %q, baseline %q", label, i, g.URL, w.Doc.URL)
 		}
-		if w.Doc.Title != g.Title || w.Doc.Topic != g.Topic {
-			t.Fatalf("%s: hit %d (%s) title/topic diverge: %q/%q vs %q/%q",
-				label, i, g.URL, g.Title, g.Topic, w.Doc.Title, w.Doc.Topic)
+		if w.Doc.Title != g.Title || w.Doc.Topic != g.Topic || w.Doc.Tenant != g.Tenant {
+			t.Fatalf("%s: hit %d (%s) title/topic/tenant diverge: %q/%q/%q vs %q/%q/%q",
+				label, i, g.URL, g.Title, g.Topic, g.Tenant, w.Doc.Title, w.Doc.Topic, w.Doc.Tenant)
 		}
 		for _, c := range [][3]interface{}{
 			{"score", w.Score, g.Score},
@@ -248,6 +260,48 @@ func TestDistributedSearchAfterChurn(t *testing.T) {
 				t.Fatalf("churn round %d query %d: %v", round, qi, err)
 			}
 			sameAsLocal(t, fmt.Sprintf("churn round=%d query=%d", round, qi), want, res.Hits)
+		}
+	}
+}
+
+// TestCoordinatorHitsCarryTenant: the coordinator's /search answers a
+// named-tenant query with each hit's "tenant" field, as single-process
+// portald does, and leaves the field out of default-tenant hits.
+func TestCoordinatorHitsCarryTenant(t *testing.T) {
+	_, fleets := buildDistCorpus(3, 120, []int{2})
+	f := startFleet(t, fleets[2])
+	defer f.close()
+	if err := f.coord.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	api := httptest.NewServer(NewAPI(f.coord).Handler())
+	defer api.Close()
+	for _, tc := range []struct {
+		query, tenant string
+	}{{"q=recovery+transaction", ""}, {"q=recovery+transaction&tenant=beta", "beta"}} {
+		resp, err := http.Get(api.URL + "/search?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Hits []map[string]any `json:"hits"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Hits) == 0 {
+			t.Fatalf("%s: no hits — weak test", tc.query)
+		}
+		for i, h := range body.Hits {
+			got, has := h["tenant"]
+			if tc.tenant == "" && has {
+				t.Fatalf("%s: hit %d carries tenant %v; default-tenant hits omit the field", tc.query, i, got)
+			}
+			if tc.tenant != "" && got != tc.tenant {
+				t.Fatalf("%s: hit %d tenant %v, want %q", tc.query, i, got, tc.tenant)
+			}
 		}
 	}
 }

@@ -78,11 +78,12 @@ type searchResponse struct {
 }
 
 // hitJSON is one ranked result, field-compatible with the single-process
-// API's hit shape.
+// API's hit shape (Tenant omitted for the default tenant).
 type hitJSON struct {
 	URL        string  `json:"url"`
 	Title      string  `json:"title"`
 	Topic      string  `json:"topic"`
+	Tenant     string  `json:"tenant,omitempty"`
 	Score      float64 `json:"score"`
 	Cosine     float64 `json:"cosine"`
 	Confidence float64 `json:"confidence"`
@@ -116,6 +117,7 @@ func (a *API) HandleSearch(w http.ResponseWriter, r *http.Request) {
 			URL:        h.URL,
 			Title:      h.Title,
 			Topic:      h.Topic,
+			Tenant:     h.Tenant,
 			Score:      h.Score,
 			Cosine:     h.Cosine,
 			Confidence: h.Confidence,

@@ -449,6 +449,10 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 		links []htmldoc.Link
 	}
 	var pending []seedLinks
+	// Seed and frame pages go through a workspace like crawled pages do,
+	// flushed once per seed: one WAL record per relation and one fsync per
+	// touched shard, not one per seed link.
+	ws := e.store.NewWorkspace(1 << 16)
 	for _, tspec := range t.topics {
 		topicPath := classify.RootName
 		for _, seg := range tspec.Path {
@@ -472,14 +476,14 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 			for _, s := range cdoc.Input.Stems {
 				terms[s]++
 			}
-			e.store.Insert(store.Document{
+			ws.Add(store.Document{
 				Tenant: t.id,
 				URL:    seedURL, FinalURL: res.FinalURL, Title: hdoc.Title,
 				ContentType: res.ContentType, Topic: topicPath, Text: hdoc.Text,
 				Terms: terms, IsTraining: true,
 			})
 			for _, l := range hdoc.Links {
-				e.store.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
+				ws.AddLink(store.Link{From: res.FinalURL, To: l.URL, Anchor: l.Anchor})
 			}
 			pending = append(pending, seedLinks{topic: topicPath, links: hdoc.Links})
 			// The paper treats frames as separate documents (its Gray seed
@@ -498,16 +502,19 @@ func (t *Tenant) Bootstrap(ctx context.Context) error {
 				for _, s := range fdoc.Input.Stems {
 					fterms[s]++
 				}
-				e.store.Insert(store.Document{
+				ws.Add(store.Document{
 					Tenant: t.id,
 					URL:    frameURL, FinalURL: fres.FinalURL, Title: fhdoc.Title,
 					ContentType: fres.ContentType, Topic: topicPath, Text: fhdoc.Text,
 					Terms: fterms, IsTraining: true,
 				})
 				for _, l := range fhdoc.Links {
-					e.store.AddLink(store.Link{From: fres.FinalURL, To: l.URL, Anchor: l.Anchor})
+					ws.AddLink(store.Link{From: fres.FinalURL, To: l.URL, Anchor: l.Anchor})
 				}
 				pending = append(pending, seedLinks{topic: topicPath, links: fhdoc.Links})
+			}
+			if err := ws.Flush(); err != nil {
+				return fmt.Errorf("core: bootstrap seed %s: store: %w", seedURL, err)
 			}
 		}
 	}

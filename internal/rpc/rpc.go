@@ -199,6 +199,9 @@ type Hit struct {
 	Title string `json:"title"`
 	// Topic is the assigned topic path.
 	Topic string `json:"topic"`
+	// Tenant names the portal the document belongs to; omitted for the
+	// default tenant, so default-tenant answers keep their wire bytes.
+	Tenant string `json:"tenant,omitempty"`
 	// Score is the combined ranking score.
 	Score float64 `json:"score"`
 	// Cosine, Confidence, and Authority are the normalized components.

@@ -163,6 +163,7 @@ func (s *Server) handleGather(w http.ResponseWriter, r *http.Request) {
 			URL:        hits[i].Doc.URL,
 			Title:      hits[i].Doc.Title,
 			Topic:      hits[i].Doc.Topic,
+			Tenant:     hits[i].Doc.Tenant,
 			Score:      hits[i].Score,
 			Cosine:     hits[i].Cosine,
 			Confidence: hits[i].Confidence,

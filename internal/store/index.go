@@ -49,22 +49,6 @@ func (t *termIndex) shard(term string) *indexShard {
 	return &t.shards[fnv32(term)%indexShards]
 }
 
-// add appends one posting to a term's list.
-func (t *termIndex) add(term string, p posting) {
-	sh := t.shard(term)
-	sh.mu.Lock()
-	sh.m[term] = append(sh.m[term], p)
-	sh.mu.Unlock()
-	mPostings.Add(1)
-}
-
-// addDoc appends one posting per term of a document.
-func (t *termIndex) addDoc(id DocID, terms map[string]int) {
-	for term, tf := range terms {
-		t.add(term, posting{doc: id, tf: tf})
-	}
-}
-
 // removeDoc deletes the postings of one document.
 func (t *termIndex) removeDoc(id DocID, terms map[string]int) {
 	var removed int64
@@ -101,13 +85,9 @@ type indexBatch struct {
 }
 
 // bulkAdd appends one posting per term of each document, grouped by shard.
-// ids[i] is the store-assigned DocID of terms[i].
+// ids[i] is the store-assigned DocID of terms[i]; a nil terms[i] adds
+// nothing.
 func (t *termIndex) bulkAdd(b *indexBatch, ids []DocID, terms []map[string]int) {
-	for si := range b.groups {
-		if cap(b.groups[si]) == 0 {
-			b.groups[si] = make([]termAdd, 0, 32)
-		}
-	}
 	for i, m := range terms {
 		for term, tf := range m {
 			si := fnv32(term) % indexShards

@@ -155,7 +155,6 @@ func decodeFramed(r io.Reader) (*Store, error) {
 	}
 	for i, sh := range s.shards {
 		sh.nextSeq = hdr.NextSeqs[i]
-		sh.bumpEpoch()
 	}
 	return s, nil
 }
@@ -170,27 +169,11 @@ func (s *Store) ingestFrameV2(i int, frame []byte) error {
 	}
 	sh := s.shards[i]
 	for _, d := range fr.Docs {
-		key := docKey(d.Tenant, d.URL)
-		if s.shardOf(d.ID) != sh || s.shardForKey(key) != sh {
+		if s.shardOf(d.ID) != sh || s.shardForKey(d.key()) != sh {
 			return fmt.Errorf("store: decode: document %q (id %d) does not belong to shard %d", d.URL, d.ID, i)
 		}
-		cp := d
-		sh.docs[d.ID] = &cp
-		sh.byURL[key] = d.ID
-		sh.index.addDoc(d.ID, d.Terms)
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
-		}
 	}
-	for _, l := range fr.OutLinks {
-		sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
-	}
-	for _, l := range fr.InLinks {
-		sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-	}
-	sh.redirects = append(sh.redirects, fr.Redirects...)
-	mDocs.Add(int64(len(fr.Docs)))
-	sh.docsGauge.Add(int64(len(fr.Docs)))
+	sh.write(&wsShard{docs: fr.Docs, outLinks: fr.OutLinks, inLinks: fr.InLinks, redirects: fr.Redirects}, &writeCtx{replay: true})
 	return nil
 }
 
@@ -209,26 +192,13 @@ func decodeV1(r io.Reader) (*Store, error) {
 	}
 	s := NewSharded(p)
 	for _, d := range snap.Docs {
-		sh := s.shardOf(d.ID)
-		if s.shardForURL(d.URL) != sh {
-			return nil, fmt.Errorf("store: decode: document %q carries an ID of shard %d but routes to shard %d", d.URL, sh.idx, s.ShardForURL(d.URL))
+		if s.shardForURL(d.URL) != s.shardOf(d.ID) {
+			return nil, fmt.Errorf("store: decode: document %q carries an ID of shard %d but routes to shard %d", d.URL, s.ShardOf(d.ID), s.ShardForURL(d.URL))
 		}
-		cp := d
-		sh.docs[d.ID] = &cp
-		sh.byURL[d.key()] = d.ID
-		sh.index.addDoc(d.ID, d.Terms)
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
-		}
-		mDocs.Add(1)
-		sh.docsGauge.Add(1)
 	}
+	loadRows(s, snap.Docs, snap.Links, snap.Redirects)
 	for i, sh := range s.shards {
 		sh.nextSeq = snap.NextSeqs[i]
-	}
-	loadRows(s, snap.Links, snap.Redirects)
-	for _, sh := range s.shards {
-		sh.bumpEpoch()
 	}
 	return s, nil
 }
@@ -241,35 +211,31 @@ func decodeV0(r io.Reader) (*Store, error) {
 		return nil, fmt.Errorf("store: decode: %w", err)
 	}
 	s := NewSharded(1)
-	sh := s.shards[0]
-	for _, d := range snap.Docs {
-		cp := d
-		sh.docs[d.ID] = &cp
-		sh.byURL[d.URL] = d.ID
-		sh.index.addDoc(d.ID, d.Terms)
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
-		}
-	}
-	mDocs.Add(int64(len(snap.Docs)))
-	sh.docsGauge.Add(int64(len(snap.Docs)))
-	sh.nextSeq = int64(snap.NextID)
-	loadRows(s, snap.Links, snap.Redirects)
-	sh.bumpEpoch()
+	loadRows(s, snap.Docs, snap.Links, snap.Redirects)
+	s.shards[0].nextSeq = int64(snap.NextID)
 	return s, nil
 }
 
-// loadRows routes decoded link and redirect rows to their owning shards.
-func loadRows(s *Store, links []Link, redirects []Redirect) {
+// loadRows routes decoded rows to their owning shards and applies them in
+// replay mode: documents keep their stored IDs and nothing is logged.
+func loadRows(s *Store, docs []Document, links []Link, redirects []Redirect) {
+	b := make([]wsShard, len(s.shards))
+	for _, d := range docs {
+		i := s.ShardOf(d.ID)
+		b[i].docs = append(b[i].docs, d)
+	}
 	for _, l := range links {
-		shFrom := s.shardForURL(l.From)
-		shFrom.outLinks[l.From] = append(shFrom.outLinks[l.From], l)
-		shTo := s.shardForURL(l.To)
-		shTo.inLinks[l.To] = append(shTo.inLinks[l.To], l)
+		from, to := s.ShardForURL(l.From), s.ShardForURL(l.To)
+		b[from].outLinks = append(b[from].outLinks, l)
+		b[to].inLinks = append(b[to].inLinks, l)
 	}
 	for _, r := range redirects {
-		sh := s.shardForURL(r.From)
-		sh.redirects = append(sh.redirects, r)
+		i := s.ShardForURL(r.From)
+		b[i].redirects = append(b[i].redirects, r)
+	}
+	wc := &writeCtx{replay: true}
+	for i, sh := range s.shards {
+		sh.write(&b[i], wc)
 	}
 }
 

@@ -35,6 +35,13 @@ type storeShard struct {
 
 	index *termIndex // sharded by term hash, internally synchronized
 
+	// indexing is held shared by a docs write from its row inserts until
+	// its postings are in index, and exclusively by a freeze while it
+	// captures the hot rows. A freeze therefore never captures a row whose
+	// postings are still to come: they would land in index after the
+	// freeze moved the row's postings into its segment, and count twice.
+	indexing sync.RWMutex
+
 	linkMu   sync.RWMutex
 	outLinks map[string][]Link
 	inLinks  map[string][]Link
@@ -87,27 +94,26 @@ func (sh *storeShard) idFor(seq int64) DocID {
 	return DocID(seq<<sh.bits | int64(sh.idx))
 }
 
-// insertDocLocked inserts the document row under the shard's docMu,
-// assigning its ID from the shard's sequence. If the URL was already
-// present the replaced row is returned so the caller can clean up its
-// postings (outside docMu).
-func (sh *storeShard) insertDocLocked(d Document) (DocID, *Document) {
-	var old *Document
-	key := d.key()
-	if oldID, ok := sh.byURL[key]; ok {
-		old = sh.removeDocLocked(oldID)
-	}
-	sh.nextSeq++
-	d.ID = sh.idFor(sh.nextSeq)
-	cp := d
-	sh.docs[d.ID] = &cp
-	sh.byURL[key] = d.ID
+// addDocLocked adds row d, which carries its ID, under the shard's docMu.
+func (sh *storeShard) addDocLocked(d Document) {
+	sh.docs[d.ID] = &d
+	sh.byURL[d.key()] = d.ID
 	if d.Topic != "" {
 		sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], d.ID)
 	}
 	mDocs.Add(1)
 	sh.docsGauge.Add(1)
-	return d.ID, old
+}
+
+// dropTopicLocked removes id from topic's list. Caller holds docMu.
+func (sh *storeShard) dropTopicLocked(topic string, id DocID) {
+	ids := sh.byTopic[topic]
+	for i := range ids {
+		if ids[i] == id {
+			sh.byTopic[topic] = append(ids[:i], ids[i+1:]...)
+			return
+		}
+	}
 }
 
 // removeDocLocked removes the document row (not its memory postings) and
@@ -121,15 +127,7 @@ func (sh *storeShard) removeDocLocked(id DocID) *Document {
 	}
 	delete(sh.docs, id)
 	delete(sh.byURL, d.key())
-	if d.Topic != "" {
-		ids := sh.byTopic[d.Topic]
-		for i := range ids {
-			if ids[i] == id {
-				sh.byTopic[d.Topic] = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-	}
+	sh.dropTopicLocked(d.Topic, id)
 	if t := sh.tier; t != nil {
 		if _, cold := sh.cold[id]; cold {
 			delete(sh.cold, id)
@@ -146,25 +144,4 @@ func (sh *storeShard) removeDocLocked(id DocID) *Document {
 	mDocs.Add(-1)
 	sh.docsGauge.Add(-1)
 	return d
-}
-
-// setTopicLocked reassigns a document's topic and confidence under docMu,
-// maintaining the topic index and (for cold rows) the override table.
-func (sh *storeShard) setTopicLocked(id DocID, topic string, confidence float64) {
-	d := sh.docs[id]
-	if d.Topic != "" {
-		ids := sh.byTopic[d.Topic]
-		for i := range ids {
-			if ids[i] == id {
-				sh.byTopic[d.Topic] = append(ids[:i], ids[i+1:]...)
-				break
-			}
-		}
-	}
-	d.Topic = topic
-	d.Confidence = confidence
-	if topic != "" {
-		sh.byTopic[topic] = append(sh.byTopic[topic], id)
-	}
-	sh.noteColdTopicLocked(id, topic, confidence)
 }

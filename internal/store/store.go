@@ -12,6 +12,15 @@
 // opens such a data dir, and still reads the gob streams older releases
 // saved (persist.go).
 //
+// Every mutation takes one path (mutate.go): each WAL record kind — docs,
+// links, redirects, delete, set-topic, set-training — has one encoder and
+// one per-shard apply function, which workspace flushes, the per-row
+// mutators, WAL replay and the legacy stream readers all call. Live writes
+// assign fresh sequence numbers and append the record; replay keeps the
+// logged ones and appends nothing. Under WALSync every live write, a
+// single AddLink as much as a workspace flush, returns only after the WAL
+// of each shard it touched is fsynced.
+//
 // The store is partitioned into P document shards (NewSharded). A document
 // belongs to the shard its URL hashes to, and its DocID encodes the shard
 // in the low bits — routing any ID or URL to its shard is a mask, not a
@@ -32,7 +41,6 @@ import (
 	"time"
 
 	"github.com/bingo-search/bingo/internal/metrics"
-	"github.com/bingo-search/bingo/internal/segment"
 )
 
 // Process-wide storage metrics: write-path traffic (per-row inserts vs
@@ -136,7 +144,9 @@ func (d *Document) key() string { return docKey(d.Tenant, d.URL) }
 // Store is safe for concurrent use. The crawl pipeline guarantees a single
 // writer per URL (the fetcher's duplicate detection and the frontier's
 // seen-set ensure a URL is processed at most once per crawl), which is what
-// keeps the split document/index locks coherent for replacements.
+// keeps the split document/index locks coherent for replacements; a
+// freeze waits out writes whose postings are not yet indexed (see
+// storeShard.indexing).
 type Store struct {
 	shardBits uint
 	mask      uint32 // shard count - 1 (shard counts are powers of two)
@@ -213,52 +223,18 @@ func (s *Store) shardForURL(url string) *storeShard {
 	return s.shards[fnv32(url)&s.mask]
 }
 
-// Insert stores one document immediately (the slow per-row path). The
+// Insert stores one document immediately (the slow per-row path): a
+// one-row write through the per-shard code Workspace.Flush runs. The
 // document's ID is assigned by its shard and returned. A document whose
 // (tenant, URL) pair is already present replaces the old row (recrawl).
 func (s *Store) Insert(d Document) DocID {
-	sh := s.shardForKey(d.key())
-	sh.docMu.Lock()
-	id, old := sh.insertDocLocked(d)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		t.addHotLocked(docBytes(&d), 1)
-		var e segment.Enc
-		e.Byte(walOpDocs)
-		e.Uvarint(1)
-		walEncodeDoc(&e, int64(id)>>sh.bits, &d)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
-	if old != nil {
-		sh.index.removeDoc(old.ID, old.Terms)
-	}
-	sh.index.addDoc(id, d.Terms)
+	b := wsShard{docs: []Document{d}}
+	var wc writeCtx
+	s.shardForKey(d.key()).write(&b, &wc)
 	s.inserts.Add(1)
 	mRowInserts.Inc()
-	sh.bumpEpoch()
-	if t := sh.tier; t != nil {
-		s.syncWAL(t, w, 1)
-		s.maybeFreeze(sh)
-	}
-	return id
-}
-
-// syncWAL fsyncs w when the store runs with WALSync and advances the
-// durable-document counter by docs on success. Called without locks.
-func (s *Store) syncWAL(t *shardTier, w *segment.WAL, docs int64) {
-	if t == nil || w == nil || !t.opt.WALSync {
-		return
-	}
-	start := time.Now()
-	if err := w.Sync(); err != nil {
-		t.noteErr(err)
-		return
-	}
-	mWALSyncNanos.ObserveSince(start)
-	if docs > 0 {
-		s.durable.Add(docs)
-	}
+	s.settle(&wc)
+	return b.docs[0].ID
 }
 
 // Delete removes a default-tenant document by URL.
@@ -267,27 +243,19 @@ func (s *Store) Delete(url string) bool { return s.DeleteDoc("", url) }
 // DeleteDoc removes tenant's document stored under url.
 func (s *Store) DeleteDoc(tenant, url string) bool {
 	key := docKey(tenant, url)
+	return s.updateDoc(key, func(sh *storeShard, wc *writeCtx) bool { return sh.deleteKey(key, wc) })
+}
+
+// updateDoc runs one keyed row mutation on key's shard and, if key was
+// stored, advances the shard's epoch and settles the write.
+func (s *Store) updateDoc(key string, apply func(sh *storeShard, wc *writeCtx) bool) bool {
 	sh := s.shardForKey(key)
-	sh.docMu.Lock()
-	id, ok := sh.byURL[key]
-	var d *Document
-	var w *segment.WAL
-	if ok {
-		d = sh.removeDocLocked(id)
-		if d != nil && sh.tier != nil {
-			var e segment.Enc
-			e.Byte(walOpDelete)
-			e.Str(key)
-			w, _ = sh.tier.appendWALLocked(e.Bytes())
-		}
-	}
-	sh.docMu.Unlock()
-	if d == nil {
+	var wc writeCtx
+	if !apply(sh, &wc) {
 		return false
 	}
-	sh.index.removeDoc(d.ID, d.Terms)
 	sh.bumpEpoch()
-	s.syncWAL(sh.tier, w, 0)
+	s.settle(&wc)
 	return true
 }
 
@@ -420,26 +388,9 @@ func (s *Store) SetTopic(url, topic string, confidence float64) error {
 // SetTopicDoc reassigns tenant's document's topic and confidence.
 func (s *Store) SetTopicDoc(tenant, url, topic string, confidence float64) error {
 	key := docKey(tenant, url)
-	sh := s.shardForKey(key)
-	sh.docMu.Lock()
-	id, ok := sh.byURL[key]
-	if !ok {
-		sh.docMu.Unlock()
+	if !s.updateDoc(key, func(sh *storeShard, wc *writeCtx) bool { return sh.setTopic(key, topic, confidence, wc) }) {
 		return ErrNotFound
 	}
-	sh.setTopicLocked(id, topic, confidence)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		var e segment.Enc
-		e.Byte(walOpSetTopic)
-		e.Str(key)
-		e.Str(topic)
-		e.F64(confidence)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
-	sh.bumpEpoch()
-	s.syncWAL(sh.tier, w, 0)
 	return nil
 }
 
@@ -451,26 +402,9 @@ func (s *Store) SetTraining(url string, training bool) error {
 // SetTrainingDoc flags or unflags tenant's document as training data.
 func (s *Store) SetTrainingDoc(tenant, url string, training bool) error {
 	key := docKey(tenant, url)
-	sh := s.shardForKey(key)
-	sh.docMu.Lock()
-	id, ok := sh.byURL[key]
-	if !ok {
-		sh.docMu.Unlock()
+	if !s.updateDoc(key, func(sh *storeShard, wc *writeCtx) bool { return sh.setTraining(key, training, wc) }) {
 		return ErrNotFound
 	}
-	sh.docs[id].IsTraining = training
-	sh.noteColdTrainingLocked(id, training)
-	var w *segment.WAL
-	if t := sh.tier; t != nil {
-		var e segment.Enc
-		e.Byte(walOpSetTraining)
-		e.Str(key)
-		e.Bool(training)
-		w, _ = t.appendWALLocked(e.Bytes())
-	}
-	sh.docMu.Unlock()
-	sh.bumpEpoch()
-	s.syncWAL(sh.tier, w, 0)
 	return nil
 }
 
@@ -680,76 +614,26 @@ func (sh *storeShard) termDocFreq(term string) int {
 	return n + sh.index.docFreq(term)
 }
 
-// walLinkRecord frames a single-row link WAL record.
-func walLinkRecord(e *segment.Enc, l Link, out bool) {
-	e.Byte(walOpLinks)
-	e.Uvarint(1)
-	e.Bool(out)
-	e.Str(l.From)
-	e.Str(l.To)
-	e.Str(l.Anchor)
-}
-
-// addOutLinkLocked appends the out-link row to sh's table and, when
-// tiered, to the hot capture and WAL. Caller holds sh.linkMu.
-func (sh *storeShard) addOutLinkLocked(l Link) {
-	sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
-	if t := sh.tier; t != nil {
-		t.hotOut = append(t.hotOut, l)
-		var e segment.Enc
-		walLinkRecord(&e, l, true)
-		t.appendWALLocked(e.Bytes())
-	}
-}
-
-// addInLinkLocked is addOutLinkLocked for the target shard's in-link row.
-func (sh *storeShard) addInLinkLocked(l Link) {
-	sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-	if t := sh.tier; t != nil {
-		t.hotIn = append(t.hotIn, l)
-		var e segment.Enc
-		walLinkRecord(&e, l, false)
-		t.appendWALLocked(e.Bytes())
-	}
-}
-
 // AddLink records a hyperlink row: the out-link row lands on the source
 // URL's shard, the in-link row on the target URL's shard.
 func (s *Store) AddLink(l Link) {
-	shFrom := s.shardForURL(l.From)
-	shTo := s.shardForURL(l.To)
-	shFrom.linkMu.Lock()
-	shFrom.addOutLinkLocked(l)
-	if shTo == shFrom {
-		shTo.addInLinkLocked(l)
-		shFrom.linkMu.Unlock()
-		shFrom.bumpEpoch()
-		return
+	from, to := s.shardForURL(l.From), s.shardForURL(l.To)
+	row := []Link{l}
+	var wc writeCtx
+	if from == to {
+		from.write(&wsShard{outLinks: row, inLinks: row}, &wc)
+	} else {
+		from.write(&wsShard{outLinks: row}, &wc)
+		to.write(&wsShard{inLinks: row}, &wc)
 	}
-	shFrom.linkMu.Unlock()
-	shTo.linkMu.Lock()
-	shTo.addInLinkLocked(l)
-	shTo.linkMu.Unlock()
-	shFrom.bumpEpoch()
-	shTo.bumpEpoch()
+	s.settle(&wc)
 }
 
 // AddRedirect records a redirect row on the source URL's shard.
 func (s *Store) AddRedirect(r Redirect) {
-	sh := s.shardForURL(r.From)
-	sh.redirMu.Lock()
-	sh.redirects = append(sh.redirects, r)
-	if t := sh.tier; t != nil {
-		t.hotRedir = append(t.hotRedir, r)
-		var e segment.Enc
-		e.Byte(walOpRedirects)
-		e.Uvarint(1)
-		e.Str(r.From)
-		e.Str(r.To)
-		t.appendWALLocked(e.Bytes())
-	}
-	sh.redirMu.Unlock()
-	sh.bumpEpoch()
+	var wc writeCtx
+	s.shardForURL(r.From).write(&wsShard{redirects: []Redirect{r}}, &wc)
+	s.settle(&wc)
 }
 
 // Successors returns the target URLs linked from url.

@@ -66,6 +66,39 @@ func TestRecrawlReplaces(t *testing.T) {
 	}
 }
 
+// TestRecrawlWithinOneFlush: a workspace holding two rows for one URL
+// stores the second, and the first leaves no posting behind — in memory,
+// in a tiered store, and after that store's WAL is replayed.
+func TestRecrawlWithinOneFlush(t *testing.T) {
+	dir := t.TempDir()
+	for _, s := range []*Store{New(), openTiered(t, dir, 2, testTierOpts())} {
+		w := s.NewWorkspace(100)
+		w.Add(doc("http://a/1", "db", 0.5, map[string]int{"alpha": 1, "old": 1}))
+		w.Add(doc("http://a/1", "ir", 0.9, map[string]int{"alpha": 2}))
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		stores := []*Store{s}
+		if s.Tiered() {
+			re := openTiered(t, dir, 2, testTierOpts())
+			defer re.Close()
+			defer s.Close()
+			stores = append(stores, re)
+		}
+		for _, st := range stores {
+			var ids []DocID
+			st.VisitPostings("alpha", func(id DocID, tf int) { ids = append(ids, id) })
+			if len(ids) != 1 || st.DocFreq("old") != 0 || st.NumDocs() != 1 {
+				t.Fatalf("tiered=%v: alpha postings %v, df(old)=%d, %d docs; want one posting, no old term, one doc",
+					st.Tiered(), ids, st.DocFreq("old"), st.NumDocs())
+			}
+			if d, err := st.Get(ids[0]); err != nil || d.Topic != "ir" {
+				t.Fatalf("tiered=%v: posting resolves to %+v, %v; want the recrawled row", st.Tiered(), d, err)
+			}
+		}
+	}
+}
+
 func TestByTopicOrdering(t *testing.T) {
 	s := New()
 	s.Insert(doc("u1", "db", 0.2, nil))

@@ -27,7 +27,7 @@ import (
 //
 // The lifecycle is LSM-shaped:
 //
-//	write  → memory + WAL append (one fsync per workspace flush)
+//	write  → memory + WAL append (one fsync per write per touched shard)
 //	freeze → hot docs become a segment; rows are slimmed, their postings
 //	         move from the in-memory index to the segment; the WAL rotates
 //	         and the old generation is deleted once the manifest commits
@@ -39,11 +39,13 @@ import (
 //	         term vectors page in lazily), slim rows and links stream out
 //	         of the meta/link sections, and only the WAL tail is replayed
 //
-// Consistency rules, enforced by lock order docMu → linkMu → redirMu with
-// the WAL's internal mutex and segment reader caches as leaves:
+// Consistency rules, enforced by lock order indexing → docMu → linkMu →
+// redirMu with the WAL's internal mutex and segment reader caches as
+// leaves:
 //
 //   - A writer applies a relation's rows and appends their WAL record under
-//     that relation's lock. Freeze captures all three relations and swaps
+//     that relation's lock (one apply path for live writes and replay:
+//     mutate.go). Freeze captures all three relations and swaps
 //     in the new WAL generation while holding all three locks, so every
 //     record is either fully baked into the frozen segment (and its WAL
 //     generation deleted) or fully in the next generation — never split,
@@ -87,9 +89,9 @@ type TierOptions struct {
 	// term vectors) held in memory across the store; a shard freezes into
 	// a segment when it exceeds its share. Default 64 MiB.
 	MemtableBudget int64
-	// WALSync fsyncs the WAL at every acknowledgement point (workspace
-	// flush, per-row insert). Off, durability is only guaranteed for
-	// frozen segments.
+	// WALSync fsyncs the WAL at every acknowledgement point: the end of
+	// every workspace flush and of every per-row mutator. Off, durability
+	// is only guaranteed for frozen segments.
 	WALSync bool
 	// CompactFanout is the size-tiered merge fanout (default 4): a size
 	// tier holding this many segments is merged into one.
@@ -502,10 +504,11 @@ func (s *Store) openShardTier(sh *storeShard, stats *RecoveryStats) error {
 	// Replay surviving WAL generations in order. Only a torn tail is
 	// forgiven; corruption inside the log is a hard open error.
 	var lastGood int64
+	wc := &writeCtx{replay: true}
 	for _, seq := range walSeqs {
 		path := t.walPath(seq)
 		n, good, err := segment.ReplayWAL(path, func(payload []byte) error {
-			return s.applyWALRecord(sh, payload, stats)
+			return s.applyWALRecord(sh, payload, wc, stats)
 		})
 		if err != nil {
 			return fmt.Errorf("store: shard %d: %w", sh.idx, err)
@@ -552,16 +555,9 @@ func (s *Store) ingestSegment(sh *storeShard, seg *tierSeg, tombs map[int64]stru
 				d.IsTraining = ov.Training
 			}
 		}
-		id := sh.idFor(seq)
-		d.ID = id
-		sh.docs[id] = &d
-		sh.byURL[d.key()] = id
-		if d.Topic != "" {
-			sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], id)
-		}
-		sh.cold[id] = coldRef{seg: seg, pos: pos}
-		mDocs.Add(1)
-		sh.docsGauge.Add(1)
+		d.ID = sh.idFor(seq)
+		sh.addDocLocked(d)
+		sh.cold[d.ID] = coldRef{seg: seg, pos: pos}
 		return true
 	})
 	if err != nil {
@@ -660,17 +656,36 @@ func (t *shardTier) addHotLocked(bytes, docs int64) {
 	mHotBytes.Add(bytes)
 }
 
+// captureHotLocked adds a write's rows to what the shard's next freeze
+// bakes: documents count toward the hot bytes and documents that trigger
+// a freeze, link and redirect rows join the segment's link and redirect
+// sections. An in-memory shard (nil tier) captures nothing. The caller
+// holds the lock of every relation rows carries.
+func (t *shardTier) captureHotLocked(rows wsShard) {
+	if t == nil {
+		return
+	}
+	for i := range rows.docs {
+		t.addHotLocked(docBytes(&rows.docs[i]), 1)
+	}
+	// Touch only the relations rows carries: each is guarded by its own lock.
+	if len(rows.outLinks)+len(rows.inLinks) > 0 {
+		t.hotOut = append(t.hotOut, rows.outLinks...)
+		t.hotIn = append(t.hotIn, rows.inLinks...)
+	}
+	if len(rows.redirects) > 0 {
+		t.hotRedir = append(t.hotRedir, rows.redirects...)
+	}
+}
+
 // noteColdTopicLocked records a topic override for a cold document so the
 // mutation survives the next WAL rotation (the segment's baked meta is
 // stale until a compaction re-bakes it). Caller holds docMu exclusively.
 func (sh *storeShard) noteColdTopicLocked(id DocID, topic string, conf float64) {
-	t := sh.tier
-	if t == nil {
-		return
-	}
 	if _, cold := sh.cold[id]; !cold {
 		return
 	}
+	t := sh.tier
 	seq := int64(id) >> sh.bits
 	ov := t.overrides[seq]
 	ov.HasTopic = true
@@ -681,13 +696,10 @@ func (sh *storeShard) noteColdTopicLocked(id DocID, topic string, conf float64) 
 
 // noteColdTrainingLocked is noteColdTopicLocked for the training flag.
 func (sh *storeShard) noteColdTrainingLocked(id DocID, training bool) {
-	t := sh.tier
-	if t == nil {
-		return
-	}
 	if _, cold := sh.cold[id]; !cold {
 		return
 	}
+	t := sh.tier
 	seq := int64(id) >> sh.bits
 	ov := t.overrides[seq]
 	ov.HasTraining = true
@@ -696,21 +708,7 @@ func (sh *storeShard) noteColdTrainingLocked(id DocID, training bool) {
 }
 
 // ---------------------------------------------------------------------------
-// WAL record encode / apply
-
-// walEncodeDoc appends one document (with its assigned shard-local seq) to
-// a docs record. Terms are written in map order; replay rebuilds the map,
-// and freezing sorts, so order on the wire is irrelevant.
-func walEncodeDoc(e *segment.Enc, seq int64, d *Document) {
-	m := metaFromDoc(d)
-	e.Meta(seq, &m)
-	e.Uvarint(uint64(len(d.Terms)))
-	for t, tf := range d.Terms {
-		e.Str(t)
-		e.Varint(int64(tf))
-	}
-	e.Str(d.Text)
-}
+// WAL append (the record encoders and apply functions are in mutate.go)
 
 // appendWALLocked frames and appends a record to the shard's current WAL.
 // The caller holds the relation lock that makes the (apply, append) pair
@@ -732,137 +730,14 @@ func (t *shardTier) appendWALLocked(payload []byte) (*segment.WAL, error) {
 	return w, nil
 }
 
-// applyWALRecord replays one record during open. Inserts carry their
-// original sequence numbers so DocIDs are stable across restarts.
-func (s *Store) applyWALRecord(sh *storeShard, payload []byte, stats *RecoveryStats) error {
-	d := segment.NewDecoder(payload, fmt.Sprintf("shard %d wal", sh.idx))
-	switch op := d.Byte(); op {
-	case walOpDocs:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			seq, m := d.Meta()
-			nt := d.Uvarint()
-			terms := make(map[string]int, nt)
-			for j := uint64(0); j < nt; j++ {
-				t := d.Str()
-				tf := d.Varint()
-				terms[t] = int(tf)
-			}
-			text := d.Str()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			doc := docFromMeta(&m)
-			doc.Terms = terms
-			doc.Text = text
-			s.replayInsert(sh, seq, doc)
-			if stats != nil {
-				stats.WALDocs++
-			}
-		}
-	case walOpLinks:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			out := d.Bool()
-			l := Link{From: d.Str(), To: d.Str(), Anchor: d.Str()}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			t := sh.tier
-			if out {
-				sh.outLinks[l.From] = append(sh.outLinks[l.From], l)
-				t.hotOut = append(t.hotOut, l)
-			} else {
-				sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-				t.hotIn = append(t.hotIn, l)
-			}
-		}
-	case walOpRedirects:
-		n := d.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			r := Redirect{From: d.Str(), To: d.Str()}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			sh.redirects = append(sh.redirects, r)
-			sh.tier.hotRedir = append(sh.tier.hotRedir, r)
-		}
-	case walOpDelete:
-		// Mutation records address rows by docKey (the bare URL in logs
-		// written before tenancy, which is the default tenant's key).
-		key := d.Str()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id, ok := sh.byURL[key]; ok {
-			old := sh.removeDocLocked(id)
-			if old != nil && old.Terms != nil {
-				sh.index.removeDoc(old.ID, old.Terms)
-			}
-		}
-	case walOpSetTopic:
-		key := d.Str()
-		topic := d.Str()
-		conf := d.F64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id, ok := sh.byURL[key]; ok {
-			sh.setTopicLocked(id, topic, conf)
-		}
-	case walOpSetTraining:
-		key := d.Str()
-		training := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if id, ok := sh.byURL[key]; ok {
-			sh.docs[id].IsTraining = training
-			sh.noteColdTrainingLocked(id, training)
-		}
-	default:
-		return fmt.Errorf("store: shard %d wal: unknown record kind %d", sh.idx, op)
-	}
-	return d.Err()
-}
-
-// replayInsert applies a WAL doc insert with its original sequence number.
-// Open runs single-threaded, so no locks.
-func (s *Store) replayInsert(sh *storeShard, seq int64, d Document) {
-	key := d.key()
-	if oldID, ok := sh.byURL[key]; ok {
-		old := sh.removeDocLocked(oldID)
-		if old != nil && old.Terms != nil {
-			sh.index.removeDoc(old.ID, old.Terms)
-		}
-	}
-	id := sh.idFor(seq)
-	d.ID = id
-	cp := d
-	sh.docs[id] = &cp
-	sh.byURL[key] = id
-	if d.Topic != "" {
-		sh.byTopic[d.Topic] = append(sh.byTopic[d.Topic], id)
-	}
-	if seq > sh.nextSeq {
-		sh.nextSeq = seq
-	}
-	sh.index.addDoc(id, d.Terms)
-	sh.tier.addHotLocked(docBytes(&cp), 1)
-	mDocs.Add(1)
-	sh.docsGauge.Add(1)
-}
-
 // ---------------------------------------------------------------------------
 // Freeze: hot tier → segment
 
 // maybeFreeze freezes sh if its hot payload exceeds the shard's share of
-// the memtable budget (or the FreezeDocs test knob). Called without locks.
+// the memtable budget (or the FreezeDocs test knob). Called without locks
+// on a tiered shard.
 func (s *Store) maybeFreeze(sh *storeShard) {
 	t := sh.tier
-	if t == nil {
-		return
-	}
 	sh.docMu.RLock()
 	hot := t.hotBytes
 	hotDocs := t.hotDocs
@@ -907,6 +782,9 @@ func (s *Store) FreezeShard(i int) error {
 
 	// Capture + rotate under all three relation locks: the atomic cut
 	// between "baked into this segment" and "in the next WAL generation".
+	// Holding indexing excludes docs writes that have inserted rows whose
+	// postings are not yet in the memory index.
+	sh.indexing.Lock()
 	sh.docMu.Lock()
 	sh.linkMu.Lock()
 	sh.redirMu.Lock()
@@ -925,6 +803,7 @@ func (s *Store) FreezeShard(i int) error {
 		sh.redirMu.Unlock()
 		sh.linkMu.Unlock()
 		sh.docMu.Unlock()
+		sh.indexing.Unlock()
 		return nil
 	}
 	t.hotOut, t.hotIn, t.hotRedir = nil, nil, nil
@@ -934,6 +813,7 @@ func (s *Store) FreezeShard(i int) error {
 		sh.redirMu.Unlock()
 		sh.linkMu.Unlock()
 		sh.docMu.Unlock()
+		sh.indexing.Unlock()
 		return err
 	}
 	oldWAL := t.wal
@@ -945,6 +825,7 @@ func (s *Store) FreezeShard(i int) error {
 	sh.redirMu.Unlock()
 	sh.linkMu.Unlock()
 	sh.docMu.Unlock()
+	sh.indexing.Unlock()
 	oldWAL.Close()
 
 	// Build the segment outside all locks (compression is the long pole).
@@ -1552,16 +1433,6 @@ func (s *Store) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// noteTierErr records a tier error not attributable to one shard.
-func (s *Store) noteTierErr(err error) {
-	for _, sh := range s.shards {
-		if sh.tier != nil {
-			sh.tier.noteErr(err)
-			return
-		}
-	}
 }
 
 // TierErr surfaces (and clears) the first background tier error — a WAL

@@ -103,12 +103,17 @@ func compactAll(t *testing.T, s *Store) {
 }
 
 func sortedDocs(ds []Document) []Document {
-	sort.Slice(ds, func(i, j int) bool { return ds[i].URL < ds[j].URL })
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].URL != ds[j].URL {
+			return ds[i].URL < ds[j].URL
+		}
+		return ds[i].Tenant < ds[j].Tenant
+	})
 	return ds
 }
 
 // requireDocsEqual compares two document sets field by field (CrawledAt by
-// Equal, Terms by content).
+// Equal, Terms by content), ordered by URL and tenant.
 func requireDocsEqual(t *testing.T, label string, got, want []Document) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -118,7 +123,7 @@ func requireDocsEqual(t *testing.T, label string, got, want []Document) {
 	sortedDocs(want)
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.URL != w.URL || g.FinalURL != w.FinalURL || g.Title != w.Title ||
+		if g.Tenant != w.Tenant || g.URL != w.URL || g.FinalURL != w.FinalURL || g.Title != w.Title ||
 			g.ContentType != w.ContentType || g.Topic != w.Topic ||
 			g.Confidence != w.Confidence || g.Depth != w.Depth ||
 			g.Text != w.Text || g.IsTraining != w.IsTraining ||

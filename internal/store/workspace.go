@@ -1,10 +1,6 @@
 package store
 
-import (
-	"time"
-
-	"github.com/bingo-search/bingo/internal/segment"
-)
+import "time"
 
 // This file implements the batched write path: workspaces buffer rows per
 // crawler thread and move them into the store with one bulk load, which is
@@ -18,14 +14,15 @@ import (
 // batching is actually happening (many small flushes mean the batch size
 // is too low or the crawl is starved).
 //
-// In a tiered store a flush is also the WAL batching point: each relation's
-// rows are appended to the owning shard's WAL as one record while that
-// relation's lock is held (making the record atomic with respect to WAL
-// rotation), and the touched logs are fsynced once at the end of the flush
-// — one fsync per flush per shard, not per row. Flush is also where
-// memtable pressure is relieved: a shard over its budget is frozen
-// synchronously on the flushing (crawler) thread, which is the write-path
-// backpressure that keeps ingest from outrunning the disk.
+// Each shard's slice of a flush goes through the same per-shard apply code
+// as the per-row mutators and WAL replay (mutate.go). In a tiered store a
+// flush is also the WAL batching point: each relation's rows are appended
+// to the owning shard's WAL as one record while that relation's lock is
+// held, and the touched logs are fsynced once at the end of the flush —
+// one fsync per flush per shard, not per row. Flush is also where memtable
+// pressure is relieved: a shard over its budget is frozen synchronously on
+// the flushing (crawler) thread, which is the write-path backpressure that
+// keeps ingest from outrunning the disk.
 
 // wsShard is one shard's slice of a workspace buffer. An out-link row is
 // buffered on its source URL's shard, an in-link row on its target's (the
@@ -61,13 +58,9 @@ type Workspace struct {
 	// to the next explicit Flush call.
 	err error
 
-	// Flush scratch, reused across batches so the steady state allocates
-	// nothing per flush.
-	ids      []DocID
-	terms    []map[string]int
-	idxBatch indexBatch
-	enc      segment.Enc
-	wals     []*segment.WAL
+	// wc is the flush's write context, reused across batches so the
+	// steady state allocates nothing per flush.
+	wc writeCtx
 }
 
 // NewWorkspace returns a workspace that auto-flushes when the total number
@@ -129,20 +122,6 @@ func (w *Workspace) maybeFlush() {
 	}
 }
 
-// noteWAL remembers a WAL that received records this flush, for the
-// end-of-flush fsync.
-func (w *Workspace) noteWAL(wal *segment.WAL) {
-	if wal == nil {
-		return
-	}
-	for _, have := range w.wals {
-		if have == wal {
-			return
-		}
-	}
-	w.wals = append(w.wals, wal)
-}
-
 // Flush bulk-loads all buffered rows into their owning shards, walking the
 // shards in index order and skipping untouched ones. In a tiered store it
 // returns the first write-ahead-log or segment error since the previous
@@ -155,105 +134,12 @@ func (w *Workspace) Flush() error {
 	start := time.Now()
 	mFlushRows.Observe(int64(w.buffered))
 	s := w.store
-	w.wals = w.wals[:0]
-	docsFlushed := int64(0)
 	for si := range w.byShard {
 		b := &w.byShard[si]
 		if b.rows() == 0 && len(b.inLinks) == 0 {
 			continue
 		}
-		sh := s.shards[si]
-		t := sh.tier
-		if len(b.docs) > 0 {
-			w.ids = w.ids[:0]
-			w.terms = w.terms[:0]
-			var replaced []*Document
-			sh.docMu.Lock()
-			for i := range b.docs {
-				id, old := sh.insertDocLocked(b.docs[i])
-				w.ids = append(w.ids, id)
-				w.terms = append(w.terms, b.docs[i].Terms)
-				if old != nil {
-					replaced = append(replaced, old)
-				}
-			}
-			if t != nil {
-				w.enc.Reset()
-				w.enc.Byte(walOpDocs)
-				w.enc.Uvarint(uint64(len(b.docs)))
-				for i := range b.docs {
-					d := &b.docs[i]
-					t.addHotLocked(docBytes(d), 1)
-					walEncodeDoc(&w.enc, int64(w.ids[i])>>sh.bits, d)
-				}
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-				docsFlushed += int64(len(b.docs))
-			}
-			sh.docMu.Unlock()
-			for _, old := range replaced {
-				sh.index.removeDoc(old.ID, old.Terms)
-			}
-			sh.index.bulkAdd(&w.idxBatch, w.ids, w.terms)
-		}
-		if len(b.outLinks) > 0 || len(b.inLinks) > 0 {
-			sh.linkMu.Lock()
-			// Out-links are buffered page by page, so the buffer is runs of
-			// equal From; append each run to the out-link table in one shot
-			// instead of re-probing the map per link.
-			for i := 0; i < len(b.outLinks); {
-				j := i + 1
-				from := b.outLinks[i].From
-				for j < len(b.outLinks) && b.outLinks[j].From == from {
-					j++
-				}
-				sh.outLinks[from] = append(sh.outLinks[from], b.outLinks[i:j]...)
-				i = j
-			}
-			for _, l := range b.inLinks {
-				sh.inLinks[l.To] = append(sh.inLinks[l.To], l)
-			}
-			if t != nil {
-				t.hotOut = append(t.hotOut, b.outLinks...)
-				t.hotIn = append(t.hotIn, b.inLinks...)
-				w.enc.Reset()
-				w.enc.Byte(walOpLinks)
-				w.enc.Uvarint(uint64(len(b.outLinks) + len(b.inLinks)))
-				for _, l := range b.outLinks {
-					w.enc.Bool(true)
-					w.enc.Str(l.From)
-					w.enc.Str(l.To)
-					w.enc.Str(l.Anchor)
-				}
-				for _, l := range b.inLinks {
-					w.enc.Bool(false)
-					w.enc.Str(l.From)
-					w.enc.Str(l.To)
-					w.enc.Str(l.Anchor)
-				}
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-			}
-			sh.linkMu.Unlock()
-		}
-		if len(b.redirects) > 0 {
-			sh.redirMu.Lock()
-			sh.redirects = append(sh.redirects, b.redirects...)
-			if t != nil {
-				t.hotRedir = append(t.hotRedir, b.redirects...)
-				w.enc.Reset()
-				w.enc.Byte(walOpRedirects)
-				w.enc.Uvarint(uint64(len(b.redirects)))
-				for _, r := range b.redirects {
-					w.enc.Str(r.From)
-					w.enc.Str(r.To)
-				}
-				wal, _ := t.appendWALLocked(w.enc.Bytes())
-				w.noteWAL(wal)
-			}
-			sh.redirMu.Unlock()
-		}
-		sh.bumpEpoch()
+		s.shards[si].write(b, &w.wc)
 		b.docs = b.docs[:0]
 		b.outLinks = b.outLinks[:0]
 		b.inLinks = b.inLinks[:0]
@@ -263,27 +149,7 @@ func (w *Workspace) Flush() error {
 	mBulkLoads.Inc()
 	w.buffered = 0
 	w.pending = 0
-	if s.Tiered() {
-		if s.opt.WALSync {
-			syncStart := time.Now()
-			synced := true
-			for _, wal := range w.wals {
-				if err := wal.Sync(); err != nil {
-					synced = false
-					s.noteTierErr(err)
-				}
-			}
-			mWALSyncNanos.ObserveSince(syncStart)
-			if synced {
-				s.durable.Add(docsFlushed)
-			}
-		}
-		for si := range w.byShard {
-			if s.shards[si].tier != nil {
-				s.maybeFreeze(s.shards[si])
-			}
-		}
-	}
+	s.settle(&w.wc)
 	mFlushNanos.ObserveSince(start)
 	if err := w.takeErr(); err != nil {
 		return err
